@@ -6,7 +6,9 @@ Two subcommands:
     Run a configured experiment, writing ``trace.csv`` and ``meta.json``
     to the output directory. ``--seed`` and ``--out`` override the
     config; ``--jobs N`` runs N seed replicates (seeds ``seed..seed+N-1``)
-    concurrently, each in its own ``seed-<s>/`` subdirectory.
+    concurrently, at most one process per usable core, each in its own
+    ``seed-<s>/`` subdirectory. One line per replicate names the
+    directory it wrote to.
 
 ``geominimax check <target> [--trials <n>] [--seed <u64>]``
     Run an invariant suite (``manifolds``, ``triangles``, ``gradients``,
@@ -80,9 +82,8 @@ def _cmd_run(args) -> int:
     out_dir = args.out if args.out is not None else cfg.out
     if out_dir is None:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
-    results = run_replicates(cfg, out_dir, args.jobs)
-    for seed, status in results:
-        print(f"seed={seed} status={status} out={out_dir}")
+    for seed, status, replicate_dir in run_replicates(cfg, out_dir, args.jobs):
+        print(f"seed={seed} status={status} out={replicate_dir}")
     return EXIT_OK
 
 

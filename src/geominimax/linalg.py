@@ -23,6 +23,11 @@ __all__ = [
     "sym_log",
     "sym_sqrt",
     "sym_inv_sqrt",
+    "daleckii_krein",
+    "log_divided",
+    "log_derivative",
+    "sqrt_divided",
+    "sqrt_derivative",
     "qr_orthonormal",
     "random_spd",
 ]
@@ -176,6 +181,62 @@ def sym_sqrt(a) -> np.ndarray:
 def sym_inv_sqrt(a) -> np.ndarray:
     """Inverse symmetric square root of a symmetric positive definite matrix."""
     return sym_apply(a, "inv_sqrt")
+
+
+#: Relative eigenvalue gap at or below which two eigenvalues are treated as
+#: coincident by :func:`daleckii_krein`, which then uses ``f'`` at their mean.
+COINCIDENT_GAP = 1e-12
+
+
+def daleckii_krein(dec: SpectralDecomposition, c: np.ndarray, divided, derivative) -> np.ndarray:
+    """Derivative of a spectral matrix function, ``q (gamma * (q.T c q)) q.T``.
+
+    For ``a = q diag(lam) q.T`` and a scalar function ``f``, this is the
+    Frechet derivative of ``f(a)`` in the direction ``c`` (the
+    Daleckii-Krein formula; Higham, *Functions of Matrices*, 2008, ch. 3).
+    ``gamma[i, j]`` is the first divided difference of ``f`` on
+    ``(lam_i, lam_j)``. The map is self-adjoint under the trace inner
+    product, so it also pulls a gradient with respect to ``f(a)`` back to
+    a gradient with respect to ``a``.
+
+    Parameters
+    ----------
+    dec : SpectralDecomposition
+        Eigendecomposition of ``a``.
+    c : ndarray, shape (n, n)
+        Symmetric direction (or gradient).
+    divided : callable (ndarray, ndarray) -> ndarray
+        Elementwise ``(f(u) - f(v)) / (u - v)`` for distinct ``u``, ``v``,
+        written in a form free of cancellation when ``u`` is close to ``v``.
+    derivative : callable ndarray -> ndarray
+        Elementwise ``f'``, used where two eigenvalues coincide to
+        :data:`COINCIDENT_GAP` relative.
+    """
+    lam = dec.eigenvalues
+    u, v = np.meshgrid(lam, lam, indexing="ij")
+    apart = np.abs(u - v) > COINCIDENT_GAP * np.maximum(np.abs(u), np.abs(v))
+    gamma = derivative((u + v) / 2.0)
+    gamma[apart] = divided(u[apart], v[apart])
+    q = dec.q
+    return q @ (gamma * (q.T @ c @ q)) @ q.T
+
+
+def log_divided(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(log u - log v) / (u - v)`` for distinct positive ``u``, ``v``."""
+    return np.log1p((u - v) / v) / (u - v)
+
+
+def log_derivative(u: np.ndarray) -> np.ndarray:
+    return 1.0 / u
+
+
+def sqrt_divided(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(sqrt u - sqrt v) / (u - v)`` for positive ``u``, ``v``."""
+    return 1.0 / (np.sqrt(u) + np.sqrt(v))
+
+
+def sqrt_derivative(u: np.ndarray) -> np.ndarray:
+    return 0.5 / np.sqrt(u)
 
 
 def qr_orthonormal(b) -> tuple[np.ndarray, np.ndarray]:

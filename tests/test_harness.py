@@ -370,16 +370,57 @@ class TestCli:
         tb = strip_wall_ms((tmp_path / "b" / "trace.csv").read_text())
         assert ta != tb
 
-    def test_jobs_make_seed_subdirectories(self, tmp_path):
+    def test_jobs_make_seed_subdirectories(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path, "problem = euclidean_quadratic\nn = 3\nalgo = rceg\niters = 4\nseed = 20\ngap_every = off\n"
         )
-        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2"])
+        out = tmp_path / "out"
+        rc = main(["run", "--config", cfg, "--out", str(out), "--jobs", "2"])
         assert rc == 0
-        assert (tmp_path / "out" / "seed-20" / "trace.csv").exists()
-        assert (tmp_path / "out" / "seed-21" / "trace.csv").exists()
-        meta = json.loads((tmp_path / "out" / "seed-21" / "meta.json").read_text())
+        assert (out / "seed-20" / "trace.csv").exists()
+        assert (out / "seed-21" / "trace.csv").exists()
+        meta = json.loads((out / "seed-21" / "meta.json").read_text())
         assert meta["config"]["seed"] == 21
+        assert capsys.readouterr().out.splitlines() == [
+            f"seed=20 status=ok out={out / 'seed-20'}",
+            f"seed=21 status=ok out={out / 'seed-21'}",
+        ]
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "single")]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"seed=20 status=ok out={tmp_path / 'single'}"]
+
+    def test_jobs_pool_capped_at_usable_cores(self, tmp_path, monkeypatch):
+        """More replicates than cores still all run, on at most one worker per core."""
+        import concurrent.futures
+        import os
+
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cores = os.cpu_count() or 1
+        recorded = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = self._write_cfg(
+            tmp_path, "problem = euclidean_quadratic\nn = 3\nalgo = rceg\niters = 4\nseed = 20\ngap_every = off\n"
+        )
+        jobs = cores + 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 0
+        assert len(recorded) == 1 and 1 <= recorded[0] <= cores
+        for seed in range(20, 20 + jobs):
+            assert (tmp_path / "out" / f"seed-{seed}" / "trace.csv").exists()
 
     def test_replicate_matches_single_run(self, tmp_path):
         """A jobs replicate is byte-identical (minus wall_ms) to the same

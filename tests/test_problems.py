@@ -14,6 +14,7 @@ from geominimax.problems import (
     robust_pca,
     spd_bilinear,
 )
+from geominimax.solvers import run
 
 
 def rel_err(got, want, scale=1.0):
@@ -151,6 +152,69 @@ class TestSpdBilinear:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             spd_bilinear(np.eye(2), np.eye(3))
+
+    @staticmethod
+    def worst_oracle_gap(prob, pairs):
+        """Largest gap between closed-form and finite-difference gradients,
+        relative to the gradient norm floored at 1 (as in ``check gradients``)."""
+        worst = 0.0
+        for x, y in pairs:
+            for m, p, got, phi in (
+                (prob.manifold_x, x, prob.grad_x(x, y), lambda q: prob.value(q, y)),
+                (prob.manifold_y, y, prob.grad_y(x, y), lambda q: prob.value(x, q)),
+            ):
+                want = numeric_riemannian_grad(m, phi, p, 1e-5 * max(1.0, np.linalg.norm(p.value)))
+                worst = max(worst, m.norm(got - want) / max(1.0, m.norm(want)))
+        return worst
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_closed_form_gradient_matches_finite_differences(self, n):
+        rng = np.random.default_rng(20 + n)
+        prob = spd_bilinear(random_spd(n, 0.5, 2.0, rng), random_spd(n, 0.5, 2.0, rng))
+        mx, my = prob.manifold_x, prob.manifold_y
+        xs, ys = prob.known_saddle
+        pairs = [(mx.random_point(rng), my.random_point(rng)) for _ in range(4)]
+        pairs.append((mx.identity(), my.identity()))
+        # At x = x0 the conjugated matrix w is the identity: every
+        # eigenvalue coincides and the divided differences take their limit.
+        pairs.append((xs, my.random_point(rng)))
+        pairs.append((mx.random_point(rng), ys))
+        assert self.worst_oracle_gap(prob, pairs) <= 1e-7
+
+    def test_closed_form_gradient_near_coincident_eigenvalues(self):
+        # Saddle components placed so that w = x^{-1/2} x0 x^{-1/2} (and
+        # its y analogue) has eigenvalue gaps of 1e-12.
+        rng = np.random.default_rng(30)
+        n = 4
+        m = Spd(n, 10.0)
+        x = m.point(random_spd(n, 0.5, 2.0, rng))
+        y = m.point(random_spd(n, 0.5, 2.0, rng))
+        lam = np.array([1.5, 1.5 + 1e-12, 1.5 + 2e-12, 0.7])
+
+        def place(p):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            s = m._sqrt(p)
+            return s @ ((q * lam) @ q.T) @ s
+
+        prob = spd_bilinear(place(x), place(y), diameter_bound=10.0)
+        x = prob.manifold_x.point(x.value)
+        y = prob.manifold_y.point(y.value)
+        w = np.linalg.eigvalsh(prob.manifold_x._isqrt(x) @ prob.known_saddle[0].value @ prob.manifold_x._isqrt(x))
+        assert np.min(np.diff(w)) < 1e-11
+        assert self.worst_oracle_gap(prob, [(x, y)]) <= 1e-6
+
+    def test_run_uses_no_finite_differences(self, monkeypatch):
+        import geominimax.problems as problems
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spd_bilinear called the finite-difference oracle")
+
+        monkeypatch.setattr(problems, "numeric_riemannian_grad", forbidden)
+        rng = np.random.default_rng(40)
+        prob = spd_bilinear(random_spd(3, 0.8, 1.25, rng), random_spd(3, 0.8, 1.25, rng))
+        start = (prob.manifold_x.identity(), prob.manifold_y.identity())
+        res = run(prob, "rceg", iters=20, start=start, eta=0.2)
+        assert res.status == "ok"
 
 
 class TestRobustPca:
