@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import check_triangle_comparison
-from .errors import ParameterError
 from .harness import demo_constrained_projection
 from .manifolds import Euclidean, Manifold, Product, Spd, Sphere
 from .linalg import random_spd
@@ -50,7 +49,6 @@ __all__ = [
     "check_triangles",
     "check_gradients",
     "check_rate",
-    "run_check",
     "CHECK_TARGETS",
 ]
 
@@ -261,15 +259,3 @@ CHECK_TARGETS = {
     "rate": check_rate,
 }
 
-
-def run_check(target: str, trials: int, seed: int) -> list[CheckLine]:
-    """Dispatch a check target with its trial budget and seed."""
-    if target == "manifolds":
-        return check_manifolds(trials=trials, seed=seed)
-    if target == "triangles":
-        return check_triangles(trials=trials, seed=seed)
-    if target == "gradients":
-        return check_gradients(trials=trials, seed=seed)
-    if target == "rate":
-        return check_rate(iters=trials, seed=seed)
-    raise ParameterError(f"unknown check target {target!r}, expected one of {sorted(CHECK_TARGETS)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import CHECK_TARGETS, run_check
+from .checks import CHECK_TARGETS
 from .errors import ConfigError, GeominimaxError, NumericalError, ParameterError
 from .harness import parse_config, run_replicates
 
@@ -40,16 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    """Internal signal carrying an exit code and message through main()."""
-
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +83,7 @@ def _cmd_check(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    lines = run_check(args.target, args.trials, args.seed)
+    lines = CHECK_TARGETS[args.target](args.trials, args.seed)
     all_pass = True
     for line in lines:
         print(line.format())
@@ -104,6 +95,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help
+        return exc.code
+    try:
         if args.command is None:
             parser.print_usage(sys.stderr)
             print("geominimax: error: a subcommand is required", file=sys.stderr)
@@ -111,10 +105,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_check(args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     except (ConfigError, ParameterError) as exc:
         print(f"geominimax: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

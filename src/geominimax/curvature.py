@@ -26,6 +26,7 @@ __all__ = [
     "zeta",
     "xi",
     "tau",
+    "manifold_tau",
     "rceg_step_size",
     "TriangleComparisonReport",
     "check_triangle_comparison",
@@ -131,6 +132,11 @@ def tau(bounds: CurvatureBounds) -> float:
     square root of this ratio scales the corrected-extragradient step.
     """
     return zeta(min(bounds.kappa_min, 0.0), bounds.diameter) / xi(bounds.kappa_max, bounds.diameter)
+
+
+def manifold_tau(manifold) -> float:
+    """:func:`tau` of a manifold's declared curvature range and diameter."""
+    return tau(CurvatureBounds(min(manifold.kappa_min, 0.0), manifold.kappa_max, manifold.diameter_bound))
 
 
 def rceg_step_size(l: float, tau_m: float, tau_n: float) -> float:

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .curvature import CurvatureBounds, tau
+from .curvature import manifold_tau
 from .errors import ConfigError
 from .linalg import random_spd, sym_eig
 from .manifolds import Euclidean, Point, Spd
@@ -358,11 +358,6 @@ def write_trace(records, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _factor_tau(manifold) -> float:
-    bounds = CurvatureBounds(min(manifold.kappa_min, 0.0), manifold.kappa_max, manifold.diameter_bound)
-    return tau(bounds)
-
-
 @dataclass(frozen=True)
 class ExperimentOutcome:
     """Files and final state produced by one experiment run."""
@@ -402,8 +397,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     meta = {
         "config": {k: v for k, v in asdict(cfg).items() if v is not None},
         "problem": problem.name,
-        "tau_m": _factor_tau(problem.manifold_x),
-        "tau_n": _factor_tau(problem.manifold_y),
+        "tau_m": manifold_tau(problem.manifold_x),
+        "tau_n": manifold_tau(problem.manifold_y),
         "eta": result.eta,
         "status": result.status,
         "iterations": result.state.t,

@@ -18,11 +18,7 @@ __all__ = [
     "SpectralDecomposition",
     "symmetrize",
     "sym_eig",
-    "sym_apply",
-    "sym_exp",
-    "sym_log",
-    "sym_sqrt",
-    "sym_inv_sqrt",
+    "spectral",
     "daleckii_krein",
     "log_divided",
     "log_derivative",
@@ -35,10 +31,6 @@ __all__ = [
 #: Relative floor below which an eigenvalue is treated as non-positive by
 #: the spectral functions that require positive definiteness.
 POSITIVITY_FLOOR = 1e-12
-
-# Classic QR-iteration sweep cap used by the underlying LAPACK driver
-# (dsteqr limits itself to 30 iterations per eigenvalue).
-_LAPACK_SWEEP_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """Return ``q @ diag(eigenvalues) @ q.T`` symmetrized."""
-        return symmetrize((self.q * self.eigenvalues) @ self.q.T)
+        return symmetrize(spectral(self))
 
 
 def _as_square(a, name: str = "a") -> np.ndarray:
@@ -70,9 +62,8 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     return a
 
 
-def symmetrize(a) -> np.ndarray:
-    """Return the symmetric part ``(a + a.T) / 2`` of a square matrix."""
-    a = _as_square(a)
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """Return the symmetric part ``(a + a.T) / 2`` of a square array."""
     return (a + a.T) / 2.0
 
 
@@ -95,16 +86,19 @@ def sym_eig(a) -> SpectralDecomposition:
 
     Raises
     ------
+    ParameterError
+        If ``a`` is not a square matrix.
+    DomainError
+        If ``a`` has non-finite entries.
     NumericalError
         If the underlying eigensolver fails to converge.
     """
-    a = symmetrize(a)
+    a = symmetrize(_as_square(a))
     try:
         lam, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            "symmetric eigensolver failed to converge within the "
-            f"{_LAPACK_SWEEP_CAP}n-sweep cap for a matrix with Frobenius norm "
+            "symmetric eigensolver failed to converge for a matrix with Frobenius norm "
             f"{np.linalg.norm(a):.6g}"
         ) from exc
     order = np.argsort(lam)[::-1]
@@ -117,70 +111,15 @@ def sym_eig(a) -> SpectralDecomposition:
     return SpectralDecomposition(q=q * signs, eigenvalues=lam)
 
 
-_SPECTRAL_KINDS = ("exp", "log", "sqrt", "inv_sqrt")
+def spectral(dec: SpectralDecomposition, f=None, inverse: bool = False) -> np.ndarray:
+    """``q diag(f(lam)) q.T`` for ``dec = (q, lam)``; ``f`` defaults to the identity.
 
-
-def sym_apply(a, kind: str) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum.
-
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-        Symmetric matrix; must be positive definite for every kind except
-        ``"exp"``.
-    kind : {"exp", "log", "sqrt", "inv_sqrt"}
-
-    Returns
-    -------
-    ndarray, shape (n, n)
-        Symmetric result ``q @ diag(f(lam)) @ q.T``.
-
-    Raises
-    ------
-    DomainError
-        If ``kind`` needs positive eigenvalues and some eigenvalue falls
-        below ``1e-12 * max(1, lam_max)``; the message names the offender.
+    With ``inverse`` the columns of ``q`` are divided by ``f(lam)``
+    instead, giving ``q diag(f(lam))^-1 q.T`` without forming reciprocals.
+    The result is not symmetrized.
     """
-    if kind not in _SPECTRAL_KINDS:
-        raise ParameterError(f"unknown spectral function {kind!r}, expected one of {_SPECTRAL_KINDS}")
-    dec = sym_eig(a)
-    lam = dec.eigenvalues
-    if kind != "exp":
-        floor = POSITIVITY_FLOOR * max(1.0, float(lam[0]))
-        if lam[-1] <= floor:
-            raise DomainError(
-                f"matrix is not positive definite for {kind!r}: smallest eigenvalue "
-                f"{lam[-1]:.6g} is below the floor {floor:.6g}"
-            )
-    if kind == "exp":
-        f = np.exp(lam)
-    elif kind == "log":
-        f = np.log(lam)
-    elif kind == "sqrt":
-        f = np.sqrt(lam)
-    else:
-        f = 1.0 / np.sqrt(lam)
-    return symmetrize((dec.q * f) @ dec.q.T)
-
-
-def sym_exp(a) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix."""
-    return sym_apply(a, "exp")
-
-
-def sym_log(a) -> np.ndarray:
-    """Matrix logarithm of a symmetric positive definite matrix."""
-    return sym_apply(a, "log")
-
-
-def sym_sqrt(a) -> np.ndarray:
-    """Symmetric square root of a symmetric positive definite matrix."""
-    return sym_apply(a, "sqrt")
-
-
-def sym_inv_sqrt(a) -> np.ndarray:
-    """Inverse symmetric square root of a symmetric positive definite matrix."""
-    return sym_apply(a, "inv_sqrt")
+    vals = dec.eigenvalues if f is None else f(dec.eigenvalues)
+    return ((dec.q / vals) if inverse else (dec.q * vals)) @ dec.q.T
 
 
 #: Relative eigenvalue gap at or below which two eigenvalues are treated as

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ParameterError, StepTooLongError
-from ..linalg import POSITIVITY_FLOOR, SpectralDecomposition, sym_eig, symmetrize
+from ..linalg import POSITIVITY_FLOOR, SpectralDecomposition, spectral, sym_eig, symmetrize
 from .base import POINT_TOL, Manifold, Point, Tangent
 
 __all__ = ["Spd"]
@@ -30,7 +30,9 @@ class Spd(Manifold):
       ``e = x^{1/2} (x^{-1/2} y x^{-1/2})^{1/2} x^{-1/2}``.
 
     Each point caches its eigendecomposition (and the square roots
-    derived from it) the first time an operation needs it.
+    derived from it) the first time an operation needs it. Points made by
+    :meth:`exp` are validated as :meth:`point` validates its input, so a
+    step that underflows to a singular matrix raises ``DomainError``.
 
     Parameters
     ----------
@@ -71,29 +73,20 @@ class Spd(Manifold):
             x.cache["eig"] = dec
         return dec
 
-    def _sqrt(self, x: Point) -> np.ndarray:
-        s = x.cache.get("sqrt")
+    def _cached_spectral(self, x: Point, key: str, f=None, inverse: bool = False) -> np.ndarray:
+        s = x.cache.get(key)
         if s is None:
-            dec = self._dec(x)
-            s = (dec.q * np.sqrt(dec.eigenvalues)) @ dec.q.T
-            x.cache["sqrt"] = s
+            s = x.cache[key] = spectral(self._dec(x), f, inverse)
         return s
+
+    def _sqrt(self, x: Point) -> np.ndarray:
+        return self._cached_spectral(x, "sqrt", np.sqrt)
 
     def _isqrt(self, x: Point) -> np.ndarray:
-        s = x.cache.get("isqrt")
-        if s is None:
-            dec = self._dec(x)
-            s = (dec.q / np.sqrt(dec.eigenvalues)) @ dec.q.T
-            x.cache["isqrt"] = s
-        return s
+        return self._cached_spectral(x, "isqrt", np.sqrt, inverse=True)
 
     def _inv(self, x: Point) -> np.ndarray:
-        s = x.cache.get("inv")
-        if s is None:
-            dec = self._dec(x)
-            s = (dec.q / dec.eigenvalues) @ dec.q.T
-            x.cache["inv"] = s
-        return s
+        return self._cached_spectral(x, "inv", inverse=True)
 
     # -- manifold interface ---------------------------------------------
 
@@ -136,8 +129,9 @@ class Spd(Manifold):
                 f"eigenvalue {top:.6g} exceeds the overflow guard {_EXP_EIG_GUARD:.0f}"
             )
         sq = self._sqrt(x)
-        e = (dec.q * np.exp(dec.eigenvalues)) @ dec.q.T
-        return self._point_unchecked(symmetrize(sq @ e @ sq))
+        y = self._point_unchecked(symmetrize(sq @ spectral(dec, np.exp) @ sq))
+        self._dec(y)  # a step can underflow to a singular matrix; reject it here
+        return y
 
     def _log_dec(self, x: Point, y: Point) -> SpectralDecomposition:
         dec = self._conj_dec(x, y.value)
@@ -150,19 +144,22 @@ class Spd(Manifold):
             )
         return dec
 
-    def log(self, x: Point, y: Point) -> Tangent:
+    def _log_parts(self, x: Point, y: Point) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
+        """``(Log_x(y), log(w), eig(w))`` with ``w = x^{-1/2} y x^{-1/2}``."""
         self._check_point(x)
         self._check_point(y)
         dec = self._log_dec(x, y)
         sq = self._sqrt(x)
-        m = (dec.q * np.log(dec.eigenvalues)) @ dec.q.T
-        return Tangent(x, symmetrize(sq @ m @ sq))
+        k = spectral(dec, np.log)
+        return symmetrize(sq @ k @ sq), k, dec
+
+    def log(self, x: Point, y: Point) -> Tangent:
+        return Tangent(x, self._log_parts(x, y)[0])
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)
         x = v.base
-        dec = self._log_dec(x, y)
-        half = (dec.q * np.sqrt(dec.eigenvalues)) @ dec.q.T
+        half = spectral(self._log_dec(x, y), np.sqrt)
         e = self._sqrt(x) @ half @ self._isqrt(x)
         return Tangent(y, symmetrize(e @ v.value @ e.T))
 
@@ -202,8 +199,7 @@ class Spd(Manifold):
             s = np.eye(self.n)
             nrm = float(np.linalg.norm(s))
         s = s * (radius / nrm)
-        dec = sym_eig(s)
-        return symmetrize((dec.q * np.exp(dec.eigenvalues)) @ dec.q.T)
+        return symmetrize(spectral(sym_eig(s), np.exp))
 
     def identity(self) -> Point:
         """The identity matrix as a point."""

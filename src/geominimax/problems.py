@@ -234,12 +234,7 @@ def _bilinear_log(m: Spd, p: Point, target: Point, key: str):
     """``(Log_p(target), log(w), eig(w))`` with ``w = p^{-1/2} target p^{-1/2}``, cached on ``p``."""
     got = p.cache.get(key)
     if got is None:
-        m._check_point(p)
-        dec = m._log_dec(p, target)
-        k = (dec.q * np.log(dec.eigenvalues)) @ dec.q.T
-        s = m._sqrt(p)
-        got = (symmetrize(s @ k @ s), k, dec)
-        p.cache[key] = got
+        got = p.cache[key] = m._log_parts(p, target)
     return got
 
 

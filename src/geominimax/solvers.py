@@ -9,10 +9,12 @@ point, the update behaves exactly like its Euclidean counterpart:
     x+ = Exp_w(-eta grad_x f(w, z) + Log_w(x))
     y+ = Exp_z(+eta grad_y f(w, z) + Log_z(y))
 
-which satisfies ``Log_w(x+) = Log_w(x) - eta grad_x f(w, z)``. Averaged
-iterates are maintained by geodesic running means over the extrapolated
-pairs. The descent-ascent baseline (RGDA) takes simultaneous gradient
-steps and is divergent on bilinear-type couplings.
+which satisfies ``Log_w(x+) = Log_w(x) - eta grad_x f(w, z)``. The
+steppers only step: the geodesic running mean of the extrapolated pairs,
+which the ergodic rate statement is about, is folded by :func:`run` when
+``RunDiagnostics.keep_averages`` asks for it. The descent-ascent baseline
+(RGDA) takes simultaneous gradient steps and is divergent on
+bilinear-type couplings.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import CurvatureBounds, rceg_step_size, tau
+from .curvature import manifold_tau, rceg_step_size
 from .errors import (
     DomainError,
     GeominimaxError,
@@ -57,16 +59,13 @@ class SolverState:
     """State of a saddle solver after ``t`` completed steps.
 
     ``current`` is the pair point ``(x_t, y_t)`` on the problem's product
-    manifold, ``extrapolated`` the last pair ``(w_t, z_t)`` (equal to
-    ``current`` for RGDA), and ``average`` the geodesic running mean of
-    the extrapolated pairs. The latter two are ``None`` before the first
-    step.
+    manifold and ``extrapolated`` the last pair ``(w_t, z_t)`` (equal to
+    ``current`` for RGDA, ``None`` before the first step).
     """
 
     t: int
     current: Point
     extrapolated: Optional[Point]
-    average: Optional[Point]
     eta: float
 
     def __post_init__(self):
@@ -97,7 +96,6 @@ def make_state(problem: MinimaxProblem, x0: Point, y0: Point, eta: float) -> Sol
         t=0,
         current=problem.domain.join(x0, y0),
         extrapolated=None,
-        average=None,
         eta=float(eta),
     )
 
@@ -112,9 +110,7 @@ def resolve_step_size(problem: MinimaxProblem, eta) -> float:
     problem does not know its constant).
     """
     if eta == "auto":
-        mx, my = problem.manifold_x, problem.manifold_y
-        tau_m = tau(CurvatureBounds(min(mx.kappa_min, 0.0), mx.kappa_max, mx.diameter_bound))
-        tau_n = tau(CurvatureBounds(min(my.kappa_min, 0.0), my.kappa_max, my.diameter_bound))
+        tau_m, tau_n = manifold_tau(problem.manifold_x), manifold_tau(problem.manifold_y)
         return rceg_step_size(problem.smoothness(), tau_m, tau_n)
     eta = float(eta)
     if not (eta > 0.0 and math.isfinite(eta)):
@@ -165,15 +161,7 @@ def rceg_step(
     gyz = problem.grad_y(w, z)
     x1 = mx.exp(w, (-eta) * gxw + mx.log(w, x))
     y1 = my.exp(z, eta * gyz + my.log(z, y))
-    extrapolated = prod.join(w, z)
-    average = geodesic_average_update(prod, state.average, extrapolated, state.t)
-    return SolverState(
-        t=state.t + 1,
-        current=prod.join(x1, y1),
-        extrapolated=extrapolated,
-        average=average,
-        eta=eta,
-    )
+    return SolverState(t=state.t + 1, current=prod.join(x1, y1), extrapolated=prod.join(w, z), eta=eta)
 
 
 def rgda_step(
@@ -190,8 +178,7 @@ def rgda_step(
     x1 = mx.exp(x, (-eta) * gx)
     y1 = my.exp(y, eta * gy)
     current = prod.join(x1, y1)
-    average = geodesic_average_update(prod, state.average, current, state.t)
-    return SolverState(t=state.t + 1, current=current, extrapolated=current, average=average, eta=eta)
+    return SolverState(t=state.t + 1, current=current, extrapolated=current, eta=eta)
 
 
 _STEPPERS: dict[str, Callable] = {"rceg": rceg_step, "rgda": rgda_step}
@@ -338,7 +325,9 @@ class RunDiagnostics:
     ``record_every`` is the row cadence, ``gap_every`` the duality-gap
     cadence (``None`` disables gap estimation), ``reference`` overrides
     the distance reference (defaults to the problem's known saddle), and
-    ``keep_averages`` retains the averaged pair after every step.
+    ``keep_averages`` folds the geodesic running mean of the extrapolated
+    pairs after every step into ``RunResult.averages``; nothing else
+    computes that average.
     """
 
     record_every: int = 1
@@ -360,13 +349,6 @@ class RunResult:
     algo: str
     averages: list[tuple[int, Point]] = field(default_factory=list)
 
-    @property
-    def averaged_pair(self) -> Optional[tuple[Point, Point]]:
-        if self.state.average is None:
-            return None
-        prod = self.state.average.manifold
-        return prod.split(self.state.average)
-
 
 # Distance from the initial pair beyond which a run is declared divergent,
 # as a multiple of the initial distance scale.
@@ -386,10 +368,12 @@ def run(
     Records a row for the initial point and then at the configured
     cadence (always including the final iteration). Gradient norms in a
     row are evaluated at that row's iterate; the evaluation is shared
-    with the following step. Divergence (non-finite values, exp-guard
-    violations, or the current pair drifting more than 1000 times the
-    initial distance scale from the start) terminates the trace early
-    with status ``"diverged"``.
+    with the following step. With ``keep_averages`` the geodesic running
+    mean of the extrapolated pairs is folded after each step. Divergence
+    (non-finite values, exp-guard violations, an iterate that leaves the
+    domain, a failure of the average, or the current pair drifting more
+    than 1000 times the initial distance scale from the start) terminates
+    the trace early with status ``"diverged"``.
     """
     if algo not in _STEPPERS:
         raise ParameterError(f"unknown algorithm {algo!r}, expected one of {sorted(_STEPPERS)}")
@@ -442,28 +426,26 @@ def run(
             wall_ms=(time.perf_counter() - t_start) * 1000.0,
         )
 
+    average: Optional[Point] = None
     for t in range(iters):
         try:
             grads = _pair_grads(problem, state.current)
             if should_record(t):
                 records.append(make_record(t, state.current, grads))
             state = step(problem, state, grads)
+            if not np.all(np.isfinite(state.current.value)):
+                raise NumericalError("iterate contains non-finite values")
+            if diagnostics.keep_averages:
+                average = geodesic_average_update(prod, average, state.extrapolated, t)
+                averages.append((state.t, average))
+            if prod.distance(state.current, initial) > threshold:
+                raise NumericalError(
+                    f"current pair drifted more than {threshold:.3g} from the start "
+                    f"(divergence threshold {_DIVERGENCE_FACTOR:.0e} x initial scale)"
+                )
         except (NumericalError, DomainError) as exc:
             status = "diverged"
             diagnostic = str(exc)
-            break
-        if not np.all(np.isfinite(state.current.value)):
-            status = "diverged"
-            diagnostic = "iterate contains non-finite values"
-            break
-        if diagnostics.keep_averages and state.average is not None:
-            averages.append((state.t, state.average))
-        if prod.distance(state.current, initial) > threshold:
-            status = "diverged"
-            diagnostic = (
-                f"current pair drifted more than {threshold:.3g} from the start "
-                f"(divergence threshold {_DIVERGENCE_FACTOR:.0e} x initial scale)"
-            )
             break
 
     if status == "ok":

@@ -9,12 +9,8 @@ from geominimax.errors import (
 from geominimax.linalg import (
     qr_orthonormal,
     random_spd,
-    sym_apply,
+    spectral,
     sym_eig,
-    sym_exp,
-    sym_inv_sqrt,
-    sym_log,
-    sym_sqrt,
     symmetrize,
 )
 
@@ -69,49 +65,31 @@ class TestSymEig:
             sym_eig([[np.nan, 0.0], [0.0, 1.0]])
 
 
-class TestSymApply:
-    def test_exp_of_zero(self):
-        np.testing.assert_allclose(sym_exp(np.zeros((3, 3))), np.eye(3))
+class TestSpectral:
+    def test_functions_of_a_diagonal(self):
+        dec = sym_eig(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(spectral(dec), np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(spectral(dec, np.sqrt), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(spectral(dec, np.sqrt, inverse=True), np.diag([0.5, 1.0 / 3.0]))
+        np.testing.assert_allclose(spectral(dec, np.log), np.diag([np.log(4.0), np.log(9.0)]))
 
-    def test_log_of_diagonal(self):
-        np.testing.assert_allclose(
-            sym_log(np.diag([np.e, 1.0])), np.diag([1.0, 0.0]), atol=1e-14
+    def test_inverse_divides_by_the_eigenvalues(self):
+        """``inverse`` divides the columns; multiplying by reciprocals would
+        differ in the last bit and move traces."""
+        dec = sym_eig(random_spd(6, 0.5, 2.0, np.random.default_rng(14)))
+        assert np.array_equal(spectral(dec, inverse=True), (dec.q / dec.eigenvalues) @ dec.q.T)
+        assert np.array_equal(
+            spectral(dec, np.sqrt, inverse=True), (dec.q / np.sqrt(dec.eigenvalues)) @ dec.q.T
         )
 
-    def test_sqrt_of_diagonal(self):
-        np.testing.assert_allclose(sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_exp_log_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = random_spd(4, 1e-3, 1e3, rng)
-            np.testing.assert_allclose(
-                sym_exp(sym_log(a)), a, atol=1e-8 * max(1.0, np.linalg.norm(a))
-            )
-
-    def test_sqrt_squares_back(self):
+    def test_square_root_and_inverse(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             a = random_spd(5, 0.1, 10.0, rng)
-            s = sym_sqrt(a)
+            dec = sym_eig(a)
+            s = spectral(dec, np.sqrt)
             np.testing.assert_allclose(s @ s, a, atol=1e-9 * max(1.0, np.linalg.norm(a)))
-
-    def test_inv_sqrt(self):
-        rng = np.random.default_rng(13)
-        a = random_spd(4, 0.5, 2.0, rng)
-        np.testing.assert_allclose(sym_inv_sqrt(a) @ a @ sym_inv_sqrt(a), np.eye(4), atol=1e-10)
-
-    def test_positivity_floor(self):
-        with pytest.raises(DomainError, match="eigenvalue"):
-            sym_log(np.diag([1.0, -0.5]))
-        with pytest.raises(DomainError):
-            sym_sqrt(np.diag([1.0, 0.0]))
-        # exp has no positivity requirement
-        sym_exp(np.diag([1.0, -5.0]))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            sym_apply(np.eye(2), "cube")
+            np.testing.assert_allclose(spectral(dec, inverse=True) @ a, np.eye(5), atol=1e-9)
 
 
 class TestQrOrthonormal:

@@ -192,6 +192,13 @@ class TestSpd:
         with pytest.raises(StepTooLongError):
             self.m.exp(x, v)
 
+    def test_exp_rejects_a_singular_result(self):
+        """exp(-40) is below the positivity floor: the step leaves SPD."""
+        m = Spd(2)
+        x = m.identity()
+        with pytest.raises(DomainError, match="not positive definite"):
+            m.exp(x, m.tangent(x, np.diag([-40.0, 0.0])))
+
 
 class TestSharedProperties:
     def test_exp_log_round_trip(self):

@@ -25,6 +25,8 @@ from geominimax import (
     run,
     spd_bilinear,
 )
+from geominimax import solvers
+from geominimax.harness import ExperimentConfig, build_problem
 from geominimax.linalg import random_spd
 
 
@@ -252,11 +254,13 @@ class TestGeodesicAveraging:
         probe_x = p.manifold_x.point(rng.standard_normal(3))
         probe_y = p.manifold_y.point(rng.standard_normal(3))
         gaps = []
-        for _ in range(20):
+        avg = None
+        for t in range(20):
             s = rceg_step(p, s)
+            avg = geodesic_average_update(p.domain, avg, s.extrapolated, t)
             w, z = p.domain.split(s.extrapolated)
             gaps.append(p.value(w, probe_y) - p.value(probe_x, z))
-        w_bar, z_bar = p.domain.split(s.average)
+        w_bar, z_bar = p.domain.split(avg)
         lhs = p.value(w_bar, probe_y) - p.value(probe_x, z_bar)
         assert lhs == pytest.approx(np.mean(gaps), abs=1e-9)
 
@@ -271,11 +275,13 @@ class TestGeodesicAveraging:
         probe_y = p.manifold_y.point(random_spd(3, 0.6, 1.8, rng))
         s = make_state(p, x, y, 0.25)
         gaps = []
-        for _ in range(15):
+        avg = None
+        for t in range(15):
             s = rceg_step(p, s)
+            avg = geodesic_average_update(p.domain, avg, s.extrapolated, t)
             w, z = p.domain.split(s.extrapolated)
             gaps.append(p.value(w, probe_y) - p.value(probe_x, z))
-        w_bar, z_bar = p.domain.split(s.average)
+        w_bar, z_bar = p.domain.split(avg)
         lhs = p.value(w_bar, probe_y) - p.value(probe_x, z_bar)
         assert lhs <= np.mean(gaps) + 1e-7
 
@@ -409,8 +415,9 @@ class TestRun:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=1, start=(x, y), eta=0.2)
-        assert res.state.average is res.state.extrapolated
+        res = run(p, "rceg", iters=1, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(keep_averages=True))
+        [(t, avg)] = res.averages
+        assert t == 1 and avg is res.state.extrapolated
         assert res.status == "ok"
 
     def test_record_cadence_and_final_row(self):
@@ -503,17 +510,47 @@ class TestRun:
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
         res = run(p, "rceg", iters=8, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(keep_averages=True))
         assert [t for t, _ in res.averages] == list(range(1, 9))
-        np.testing.assert_allclose(res.averages[-1][1].value, res.state.average.value, atol=0)
+        # the same fold by hand over the same steps
+        s, avg = make_state(p, x, y, 0.2), None
+        for t in range(8):
+            s = rceg_step(p, s)
+            avg = geodesic_average_update(p.domain, avg, s.extrapolated, t)
+        np.testing.assert_allclose(res.averages[-1][1].value, avg.value, atol=0)
 
     def test_averaged_pair_accessor(self):
+        """The averaged pair of a run is its last kept average."""
         rng = np.random.default_rng(67)
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=4, start=(x, y), eta=0.2)
-        xb, yb = res.averaged_pair
+        res = run(p, "rceg", iters=4, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(keep_averages=True))
+        xb, yb = p.domain.split(res.averages[-1][1])
         assert xb.manifold is p.manifold_x
         assert yb.manifold is p.manifold_y
+
+    def test_no_averages_unless_kept(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("geodesic_average_update called with keep_averages=False")
+
+        monkeypatch.setattr(solvers, "geodesic_average_update", refuse)
+        rng = np.random.default_rng(71)
+        p = decoupled_spd(2, rng)
+        x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
+        y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
+        for algo in ("rceg", "rgda"):
+            res = run(p, algo, iters=6, start=(x, y), eta=0.2)
+            assert res.status == "ok"
+            assert res.averages == []
+
+    def test_spd_bilinear_rgda_divergence_is_a_status(self):
+        """The spd_bilinear RGDA run of configs/bilinear_rgda.cfg steps to a
+        singular matrix; the run must end as diverged, not raise."""
+        cfg = ExperimentConfig(problem="spd_bilinear", n=10, mu=0.8, l=1.25, algo="rgda", iters=200, eta=0.2)
+        p, x, y = build_problem(cfg)
+        res = run(p, "rgda", iters=200, start=(x, y), eta=0.2)
+        assert res.status == "diverged"
+        assert "positive definite" in res.diagnostic
+        assert res.state.t < 200
 
     def test_parameter_validation(self):
         p = scalar_bilinear()
