@@ -9,8 +9,11 @@ A run writes two files into its output directory:
   (empty fields where a quantity is not computed) and numbers printed
   with 17 significant digits;
 - ``meta.json`` echoing the effective config together with the
-  distortion ratios of both factors, the step size actually used, and
-  the final status.
+  distortion ratios of both factors, the step size actually used, the
+  final status, and how far each factor's iterate went from its start
+  against that factor's declared diameter (``domain_exceeded`` is true
+  when either went further, so the ``eta = auto`` guarantee did not
+  apply).
 
 Everything except the ``wall_ms`` column is bitwise reproducible for a
 fixed config and seed: all randomness flows through one
@@ -394,6 +397,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     trace_path = out_dir / "trace.csv"
     meta_path = out_dir / "meta.json"
     write_trace(result.records, trace_path)
+    diameters = [problem.manifold_x.diameter_bound, problem.manifold_y.diameter_bound]
     meta = {
         "config": {k: v for k, v in asdict(cfg).items() if v is not None},
         "problem": problem.name,
@@ -403,6 +407,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
         "status": result.status,
         "iterations": result.state.t,
         "diagnostic": result.diagnostic,
+        "max_dist_from_start": list(result.max_dist_from_start),
+        "diameter_bound": diameters,
+        "domain_exceeded": any(d > bound for d, bound in zip(result.max_dist_from_start, diameters)),
     }
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return ExperimentOutcome(

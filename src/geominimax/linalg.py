@@ -37,11 +37,13 @@ POSITIVITY_FLOOR = 1e-12
 class SpectralDecomposition:
     """Eigendecomposition ``a = q @ diag(eigenvalues) @ q.T`` of a symmetric matrix.
 
+    For a stack of matrices both arrays carry the same leading axes.
+
     Attributes
     ----------
-    q : ndarray, shape (n, n)
+    q : ndarray, shape (..., n, n)
         Orthogonal matrix of eigenvectors, one per column.
-    eigenvalues : ndarray, shape (n,)
+    eigenvalues : ndarray, shape (..., n)
         Eigenvalues sorted in descending order.
     """
 
@@ -55,16 +57,16 @@ class SpectralDecomposition:
 
 def _as_square(a, name: str = "a") -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ParameterError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ParameterError(f"{name} must be a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part ``(a + a.T) / 2`` of a square array."""
-    return (a + a.T) / 2.0
+    """Return the symmetric part ``(a + a.T) / 2`` of a square array or of each in a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def sym_eig(a) -> SpectralDecomposition:
@@ -75,19 +77,25 @@ def sym_eig(a) -> SpectralDecomposition:
     is positive. Ties between equal eigenvalues are therefore resolved
     identically on every call with the same input.
 
+    A stack ``(..., n, n)`` is decomposed by one ``numpy.linalg.eigh``
+    call, and each member's result is bitwise equal to the result of a
+    separate call on that member.
+
     Parameters
     ----------
-    a : array_like, shape (n, n)
-        Symmetric matrix. The symmetric part is used.
+    a : array_like, shape (n, n) or (..., n, n)
+        Symmetric matrix, or a stack of them. The symmetric part is used.
 
     Returns
     -------
     SpectralDecomposition
+        With ``q`` of shape ``(..., n, n)`` and ``eigenvalues`` of shape
+        ``(..., n)``.
 
     Raises
     ------
     ParameterError
-        If ``a`` is not a square matrix.
+        If ``a`` is not a square matrix or a stack of them.
     DomainError
         If ``a`` has non-finite entries.
     NumericalError
@@ -101,12 +109,18 @@ def sym_eig(a) -> SpectralDecomposition:
             "symmetric eigensolver failed to converge for a matrix with Frobenius norm "
             f"{np.linalg.norm(a):.6g}"
         ) from exc
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    q = q[:, order]
+    order = np.argsort(lam, axis=-1)[..., ::-1]
     # Flip each column so its first sufficiently-nonzero entry is positive.
-    first = np.argmax(np.abs(q) > 1e-12, axis=0)
-    signs = np.sign(q[first, np.arange(q.shape[1])])
+    if a.ndim == 2:  # plain indexing: the single matrix is the hot path
+        lam = lam[order]
+        q = q[:, order]
+        first = np.argmax(np.abs(q) > 1e-12, axis=0)
+        signs = np.sign(q[first, np.arange(q.shape[1])])
+    else:
+        lam = np.take_along_axis(lam, order, axis=-1)
+        q = np.take_along_axis(q, order[..., None, :], axis=-1)
+        first = np.argmax(np.abs(q) > 1e-12, axis=-2)
+        signs = np.sign(np.take_along_axis(q, first[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return SpectralDecomposition(q=q * signs, eigenvalues=lam)
 
@@ -116,10 +130,13 @@ def spectral(dec: SpectralDecomposition, f=None, inverse: bool = False) -> np.nd
 
     With ``inverse`` the columns of ``q`` are divided by ``f(lam)``
     instead, giving ``q diag(f(lam))^-1 q.T`` without forming reciprocals.
-    The result is not symmetrized.
+    The result is not symmetrized. A stacked ``dec`` gives the stack of
+    reconstructions, each bitwise equal to the one of its member.
     """
     vals = dec.eigenvalues if f is None else f(dec.eigenvalues)
-    return ((dec.q / vals) if inverse else (dec.q * vals)) @ dec.q.T
+    vals = vals[..., None, :]
+    q = dec.q
+    return ((q / vals) if inverse else (q * vals)) @ q.swapaxes(-1, -2)
 
 
 #: Relative eigenvalue gap at or below which two eigenvalues are treated as

@@ -133,40 +133,59 @@ class Spd(Manifold):
         self._dec(y)  # a step can underflow to a singular matrix; reject it here
         return y
 
-    def _log_dec(self, x: Point, y: Point) -> SpectralDecomposition:
-        dec = self._conj_dec(x, y.value)
+    def _log_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
+        """Eigendecomposition of ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.
+
+        Raises ``DomainError`` naming the first member whose ``w`` is not
+        positive definite to the relative floor.
+        """
+        dec = self._conj_dec(x, a)
         lam = dec.eigenvalues
-        floor = POSITIVITY_FLOOR * max(1.0, float(lam[0]))
-        if lam[-1] <= floor:
-            raise DomainError(
-                f"logarithm target is not positive definite relative to the base: "
-                f"smallest conjugated eigenvalue {lam[-1]:.6g} is below {floor:.6g}"
-            )
+        # Scalar checks: numpy ufuncs on one eigenvalue cost more than the check.
+        for member in [lam] if lam.ndim == 1 else lam:
+            floor = POSITIVITY_FLOOR * max(1.0, float(member[0]))
+            if member[-1] <= floor:
+                raise DomainError(
+                    f"logarithm target is not positive definite relative to the base: "
+                    f"smallest conjugated eigenvalue {member[-1]:.6g} is below {floor:.6g}"
+                )
         return dec
 
-    def _log_parts(self, x: Point, y: Point) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
-        """``(Log_x(y), log(w), eig(w))`` with ``w = x^{-1/2} y x^{-1/2}``."""
+    def _log_parts(self, x: Point, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
+        """``(Log_x(a), log(w), eig(w))`` with ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack."""
         self._check_point(x)
-        self._check_point(y)
-        dec = self._log_dec(x, y)
+        dec = self._log_dec(x, a)
         sq = self._sqrt(x)
         k = spectral(dec, np.log)
         return symmetrize(sq @ k @ sq), k, dec
 
     def log(self, x: Point, y: Point) -> Tangent:
-        return Tangent(x, self._log_parts(x, y)[0])
+        self._check_point(y)
+        return Tangent(x, self._log_parts(x, y.value)[0])
+
+    def log_stack(self, x: Point, targets: np.ndarray) -> np.ndarray:
+        """``Log_x(a_i)`` for a stack of SPD targets, shape ``(k, n, n)``.
+
+        The conjugations ``x^{-1/2} a_i x^{-1/2}`` are one matmul over the
+        stack and their eigendecompositions one ``eigh`` call. Member ``i``
+        of the result is bitwise equal to ``log(x, point(a_i)).value``, and
+        a target that :meth:`log` would reject raises the same
+        ``DomainError``. The targets must be symmetric, as
+        :meth:`point` makes them; they are not validated here.
+        """
+        return self._log_parts(x, targets)[0]
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)
         x = v.base
-        half = spectral(self._log_dec(x, y), np.sqrt)
+        half = spectral(self._log_dec(x, y.value), np.sqrt)
         e = self._sqrt(x) @ half @ self._isqrt(x)
         return Tangent(y, symmetrize(e @ v.value @ e.T))
 
     def distance(self, x: Point, y: Point) -> float:
         self._check_point(x)
         self._check_point(y)
-        dec = self._log_dec(x, y)
+        dec = self._log_dec(x, y.value)
         return float(np.linalg.norm(np.log(dec.eigenvalues)))
 
     def tangent_basis(self, x: Point):

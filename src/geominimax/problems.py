@@ -234,7 +234,7 @@ def _bilinear_log(m: Spd, p: Point, target: Point, key: str):
     """``(Log_p(target), log(w), eig(w))`` with ``w = p^{-1/2} target p^{-1/2}``, cached on ``p``."""
     got = p.cache.get(key)
     if got is None:
-        got = p.cache[key] = m._log_parts(p, target)
+        got = p.cache[key] = m._log_parts(p, target.value)
     return got
 
 
@@ -333,6 +333,11 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         grad_x f = -2 (m x - (x.(m x)) x)
         grad_m f = -m x x^T m + (2 alpha / k) sum_i Log_m(m_i)
 
+    The data are kept as one ``(k, n, n)`` stack, so each new matrix point
+    costs one stacked eigendecomposition for all k logarithms
+    (:meth:`~geominimax.manifolds.Spd.log_stack`); their sum and their
+    summed squared norms are cached on the point.
+
     Parameters
     ----------
     data : sequence of SPD arrays, all n x n, length k >= 1.
@@ -360,22 +365,24 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         spd_diameter = 2.0 * spread + 1.0
     mx = Sphere(n, sphere_diameter)
     my = Spd(n, float(spd_diameter))
-    data_pts = [my.point(a) for a in mats]
+    stack = np.stack([p.value for p in pts])
 
-    def _penalty_logs(m_pt: Point):
-        got = m_pt.cache.get("rpca_logs")
+    def _penalty(m_pt: Point) -> tuple[np.ndarray, float]:
+        """``(sum_i Log_m(m_i), sum_i ||Log_m(m_i)||^2)``, cached on ``m``."""
+        got = m_pt.cache.get("rpca_penalty")
         if got is None:
-            logs = [my.log(m_pt, p).value for p in data_pts]
+            logs = my.log_stack(m_pt, stack)
+            inv_logs = my._inv(m_pt) @ logs
+            # Summed one member at a time from zero, as separate
+            # Spd.inner calls and array additions would sum them.
             sumsq = 0.0
-            for lg in logs:
-                t = Tangent(m_pt, lg)
-                sumsq += my.inner(t, t)
-            got = (logs, sumsq)
-            m_pt.cache["rpca_logs"] = got
+            for sq in np.einsum("kij,kji->k", inv_logs, inv_logs).tolist():
+                sumsq += sq
+            got = m_pt.cache["rpca_penalty"] = (logs.sum(axis=0, initial=0.0), sumsq)
         return got
 
     def value(x: Point, m_pt: Point) -> float:
-        _, sumsq = _penalty_logs(m_pt)
+        _, sumsq = _penalty(m_pt)
         quad = float(x.value @ (m_pt.value @ x.value))
         return -quad - (alpha / k) * sumsq
 
@@ -385,13 +392,10 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         return Tangent(x, -2.0 * (mv - quad * x.value))
 
     def grad_y(x: Point, m_pt: Point) -> Tangent:
-        logs, _ = _penalty_logs(m_pt)
+        log_sum, _ = _penalty(m_pt)
         mx_vec = m_pt.value @ x.value
         out = -np.outer(mx_vec, mx_vec)
-        acc = np.zeros_like(out)
-        for lg in logs:
-            acc = acc + lg
-        return Tangent(m_pt, symmetrize(out + (2.0 * alpha / k) * acc))
+        return Tangent(m_pt, symmetrize(out + (2.0 * alpha / k) * log_sum))
 
     return MinimaxProblem(
         name="robust_pca",

@@ -339,7 +339,11 @@ class RunDiagnostics:
 
 @dataclass
 class RunResult:
-    """Trace and final state of a solver run."""
+    """Trace and final state of a solver run.
+
+    ``max_dist_from_start`` is the largest distance of the current
+    iterate from its start seen in the run, per factor ``(x, y)``.
+    """
 
     records: list[IterationRecord]
     state: SolverState
@@ -348,6 +352,7 @@ class RunResult:
     eta: float
     algo: str
     averages: list[tuple[int, Point]] = field(default_factory=list)
+    max_dist_from_start: tuple[float, float] = (0.0, 0.0)
 
 
 # Distance from the initial pair beyond which a run is declared divergent,
@@ -389,10 +394,10 @@ def run(
     eta_val = resolve_step_size(problem, eta)
     prod = problem.domain
     state = make_state(problem, start[0], start[1], eta_val)
-    initial = state.current
+    mx, my = problem.manifold_x, problem.manifold_y
     reference = diagnostics.reference if diagnostics.reference is not None else problem.known_saddle
     ref_pair = prod.join(reference[0], reference[1]) if reference is not None else None
-    scale = max(1.0, prod.distance(initial, ref_pair)) if ref_pair is not None else 1.0
+    scale = max(1.0, prod.distance(state.current, ref_pair)) if ref_pair is not None else 1.0
     threshold = _DIVERGENCE_FACTOR * scale
 
     records: list[IterationRecord] = []
@@ -419,14 +424,15 @@ def run(
         return IterationRecord(
             t=t,
             value=float(problem.value(x, y)),
-            grad_norm_x=problem.manifold_x.norm(grads[0]),
-            grad_norm_y=problem.manifold_y.norm(grads[1]),
+            grad_norm_x=mx.norm(grads[0]),
+            grad_norm_y=my.norm(grads[1]),
             dist_to_ref=prod.distance(pair, ref_pair) if ref_pair is not None else None,
             gap_estimate=gap_val,
             wall_ms=(time.perf_counter() - t_start) * 1000.0,
         )
 
     average: Optional[Point] = None
+    far_x = far_y = 0.0
     for t in range(iters):
         try:
             grads = _pair_grads(problem, state.current)
@@ -438,7 +444,12 @@ def run(
             if diagnostics.keep_averages:
                 average = geodesic_average_update(prod, average, state.extrapolated, t)
                 averages.append((state.t, average))
-            if prod.distance(state.current, initial) > threshold:
+            # The product distance from the start, as Product.distance
+            # combines it, with each factor's distance kept for meta.json.
+            x, y = prod.split(state.current)
+            dx, dy = mx.distance(x, start[0]), my.distance(y, start[1])
+            far_x, far_y = max(far_x, dx), max(far_y, dy)
+            if float(np.hypot(dx, dy)) > threshold:
                 raise NumericalError(
                     f"current pair drifted more than {threshold:.3g} from the start "
                     f"(divergence threshold {_DIVERGENCE_FACTOR:.0e} x initial scale)"
@@ -471,4 +482,5 @@ def run(
         eta=eta_val,
         algo=algo,
         averages=averages,
+        max_dist_from_start=(far_x, far_y),
     )

@@ -1,6 +1,8 @@
 """Tests for config handling, dataset generation, runs, checks, and the CLI."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from geominimax.harness import (
     run_experiment,
     serialize_config,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 problem = spd_bilinear
@@ -208,6 +212,22 @@ class TestRunExperiment:
         assert meta["eta"] > 0
         assert meta["tau_m"] == 1.0 and meta["tau_n"] == 1.0
         assert meta["config"]["problem"] == "euclidean_quadratic"
+        assert meta["diameter_bound"] == [10.0, 10.0]
+        assert meta["max_dist_from_start"] == list(outcome.result.max_dist_from_start)
+        assert meta["domain_exceeded"] is False
+
+    @pytest.mark.parametrize("name, exceeded", [("robust_pca_a05", True), ("robust_pca_a2", False)])
+    def test_meta_reports_domain_excursion(self, tmp_path, name, exceeded):
+        """The shipped alpha = 0.5 instance leaves the pi/4 sphere diameter
+        that eta = auto assumes within 100 iterations; alpha = 2 stays in."""
+        cfg = parse_config(CONFIGS / f"{name}.cfg")
+        outcome = run_experiment(replace(cfg, iters=100, gap_every="off"), tmp_path)
+        meta = json.loads(outcome.meta_path.read_text())
+        far, diameter = meta["max_dist_from_start"], meta["diameter_bound"]
+        assert diameter[0] == pytest.approx(np.pi / 4.0)
+        assert meta["domain_exceeded"] is exceeded
+        assert (far[0] > diameter[0] or far[1] > diameter[1]) is exceeded
+        assert meta["status"] == "ok"
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         cfg = parse_config_text(

@@ -92,6 +92,63 @@ class TestSpectral:
             np.testing.assert_allclose(spectral(dec, inverse=True) @ a, np.eye(5), atol=1e-9)
 
 
+class TestStacks:
+    """A stack ``(..., n, n)`` decomposes and reconstructs member by member,
+    bit for bit as the separate 2-D calls do."""
+
+    def assert_matches_members(self, a):
+        dec = sym_eig(a)
+        assert dec.q.shape == a.shape and dec.eigenvalues.shape == a.shape[:-1]
+        flat = a.reshape(-1, *a.shape[-2:])
+        qs = dec.q.reshape(flat.shape)
+        lams = dec.eigenvalues.reshape(flat.shape[:-1])
+        spd = np.all(lams > 0.0)
+        stacked = [spectral(dec), spectral(dec, np.exp), spectral(dec, np.exp, inverse=True)]
+        if spd:
+            stacked += [spectral(dec, np.log), spectral(dec, np.sqrt, inverse=True)]
+        for i, member in enumerate(flat):
+            one = sym_eig(member)
+            assert np.array_equal(qs[i], one.q)
+            assert np.array_equal(lams[i], one.eigenvalues)
+            single = [spectral(one), spectral(one, np.exp), spectral(one, np.exp, inverse=True)]
+            if spd:
+                single += [spectral(one, np.log), spectral(one, np.sqrt, inverse=True)]
+            for got, want in zip(stacked, single):
+                assert np.array_equal(got.reshape(flat.shape)[i], want)
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_symmetric_stack(self, n):
+        rng = np.random.default_rng(40 + n)
+        self.assert_matches_members(np.stack([symmetrize(rng.standard_normal((n, n))) for _ in range(5)]))
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_spd_stack_with_two_leading_axes(self, n):
+        rng = np.random.default_rng(50 + n)
+        a = np.stack([random_spd(n, 0.2, 4.5, rng) for _ in range(6)]).reshape(2, 3, n, n)
+        self.assert_matches_members(a)
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_stack_of_one(self, n):
+        rng = np.random.default_rng(60 + n)
+        self.assert_matches_members(random_spd(n, 0.2, 4.5, rng)[None])
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_identity_ties(self, n):
+        """Every eigenvalue of the identity ties exactly, so the order of
+        the eigenvectors rests on the sort alone."""
+        rng = np.random.default_rng(70 + n)
+        self.assert_matches_members(np.stack([np.eye(n), random_spd(n, 0.2, 4.5, rng), np.eye(n)]))
+        self.assert_matches_members(np.eye(n)[None])
+
+    def test_stacked_input_is_checked(self):
+        with pytest.raises(ParameterError):
+            sym_eig(np.ones((2, 2, 3)))
+        bad = np.stack([np.eye(2), np.eye(2)])
+        bad[1, 0, 0] = np.inf
+        with pytest.raises(DomainError):
+            sym_eig(bad)
+
+
 class TestQrOrthonormal:
     def test_identity(self):
         q, r = qr_orthonormal(np.eye(3))

@@ -200,6 +200,36 @@ class TestSpd:
             m.exp(x, m.tangent(x, np.diag([-40.0, 0.0])))
 
 
+class TestSpdLogStack:
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_members_equal_separate_logs(self, n):
+        from geominimax.linalg import random_spd
+
+        m = Spd(n)
+        rng = np.random.default_rng(80 + n)
+        x = m.point(random_spd(n, 0.2, 4.5, rng))
+        targets = [m.point(random_spd(n, 0.2, 4.5, rng)) for _ in range(4)] + [x]
+        logs = m.log_stack(x, np.stack([t.value for t in targets]))
+        assert logs.shape == (5, n, n)
+        for got, t in zip(logs, targets):
+            assert np.array_equal(got, m.log(x, t).value)
+        assert np.array_equal(m.log_stack(x, x.value[None])[0], m.log(x, x).value)
+
+    def test_non_positive_member_raises_the_log_message(self):
+        # Both points are SPD, but x^-1/2 y x^-1/2 = diag(1, 1e-13, 1) is
+        # below the relative positivity floor.
+        m = Spd(3)
+        x = m.point(np.diag([1.0, 100.0, 1.0]))
+        good = m.point(np.diag([2.0, 1.0, 0.5]))
+        bad = m.point(np.diag([1.0, 1e-11, 1.0]))
+        with pytest.raises(DomainError) as single:
+            m.log(x, bad)
+        with pytest.raises(DomainError) as stacked:
+            m.log_stack(x, np.stack([good.value, bad.value, good.value]))
+        assert "not positive definite relative to the base" in str(single.value)
+        assert str(stacked.value) == str(single.value)
+
+
 class TestSharedProperties:
     def test_exp_log_round_trip(self):
         for m in make_all():

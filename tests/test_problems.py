@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geominimax.errors import NumericalError, ParameterError
-from geominimax.linalg import random_spd
+from geominimax.linalg import random_spd, symmetrize
 from geominimax.manifolds import Euclidean, Spd, Sphere
 from geominimax.problems import (
     augmented_lagrangian,
@@ -236,6 +236,58 @@ class TestRobustPca:
             gy = prob.grad_y(x, m)
             fy = numeric_riemannian_grad(my, lambda p: prob.value(x, p), m, 1e-5 * max(1.0, np.linalg.norm(m.value)))
             assert rel_err(gy.value, fy.value, my.norm(gy)) < 1e-5
+
+    def oracle(self, prob, data, alpha, x, m):
+        """Value and grad_y of the docstring formula, one Spd.log at a time,
+        summed in data order from zero."""
+        my = prob.manifold_y
+        logs = [my.log(m, my.point(a)) for a in data]
+        sumsq = 0.0
+        total = np.zeros_like(m.value)
+        for lg in logs:
+            sumsq += my.inner(lg, lg)
+            total = total + lg.value
+        k = len(data)
+        mv = m.value @ x.value
+        value = -float(x.value @ mv) - (alpha / k) * sumsq
+        return value, symmetrize(-np.outer(mv, mv) + (2.0 * alpha / k) * total)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 3), (10, 8)])
+    def test_value_and_grad_y_equal_per_matrix_formula(self, n, k):
+        rng = np.random.default_rng(16 + n)
+        data = [random_spd(n, 0.2, 4.5, rng) for _ in range(k)]
+        alpha = 0.7
+        prob = robust_pca(data, alpha)
+        mx, my = prob.manifold_x, prob.manifold_y
+        # random points, then a data point, where one logarithm is zero
+        ms = [my.point(random_spd(n, 0.3, 4.0, rng)) for _ in range(5)] + [my.point(data[-1])]
+        for m in ms:
+            x = mx.random_point(rng)
+            value, grad = self.oracle(prob, data, alpha, x, my.point(m.value))
+            assert prob.value(x, m) == value
+            assert np.array_equal(prob.grad_y(x, m).value, grad)
+
+    def test_one_eigendecomposition_per_new_matrix_point(self, monkeypatch):
+        prob = self.make(n=5, k=6)
+        mx, my = prob.manifold_x, prob.manifold_y
+        rng = np.random.default_rng(17)
+        x = mx.random_point(rng)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        m = my.point(random_spd(5, 0.3, 4.0, rng))
+        for _ in range(4):
+            m = my.exp(m, 0.1 * prob.grad_y(x, m))  # a new point, validated by exp
+            calls.clear()
+            prob.value(x, m)
+            prob.grad_y(x, m)
+            prob.value(x, m)
+            assert calls == [(6, 5, 5)]
 
     def test_single_matrix_penalty(self):
         rng = np.random.default_rng(11)

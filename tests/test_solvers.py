@@ -123,7 +123,7 @@ class TestRcegStep:
     def test_correction_identity_on_spd(self):
         """Log_w(x+) = Log_w(x) - eta grad_x f(w, z) after every step."""
         rng = np.random.default_rng(3)
-        p = spd_bilinear(random_spd(3, 0.5, 2.0, rng), random_spd(3, 0.5, 2.0, rng))
+        p = spd_bilinear(random_spd(3, 0.8, 1.25, rng), random_spd(3, 0.8, 1.25, rng))
         mx, my = p.manifold_x, p.manifold_y
         x = mx.point(random_spd(3, 0.6, 1.8, rng))
         y = my.point(random_spd(3, 0.6, 1.8, rng))
@@ -551,6 +551,23 @@ class TestRun:
         assert res.status == "diverged"
         assert "positive definite" in res.diagnostic
         assert res.state.t < 200
+
+    def test_max_dist_from_start_is_the_largest_factor_distance(self):
+        """Hand-stepped RCEG: the run keeps each factor's largest distance
+        of the current iterate from the start, bit for bit."""
+        rng = np.random.default_rng(43)
+        p = spd_bilinear(random_spd(3, 0.8, 1.25, rng), random_spd(3, 0.8, 1.25, rng))
+        mx, my = p.manifold_x, p.manifold_y
+        x0, y0 = mx.identity(), my.identity()
+        res = run(p, "rceg", iters=25, start=(x0, y0), eta=0.2)
+        state = make_state(p, x0, y0, 0.2)
+        far = [0.0, 0.0]
+        for _ in range(25):
+            state = rceg_step(p, state)
+            x, y = p.domain.split(state.current)
+            far = [max(far[0], mx.distance(x, x0)), max(far[1], my.distance(y, y0))]
+        assert res.max_dist_from_start == tuple(far)
+        assert far[0] > 0.0 and far[1] > 0.0
 
     def test_parameter_validation(self):
         p = scalar_bilinear()
