@@ -110,9 +110,10 @@ class Spd(Manifold):
         a = np.asarray(a, dtype=float).reshape(self.n, self.n)
         return (a + a.T) / 2.0
 
-    def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float:
+    def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """``tr(x^-1 u x^-1 v)``; for stacks ``(..., n, n)``, one value per member."""
         inv = self._inv(x)
-        return float(np.einsum("ij,ji->", inv @ u, inv @ v))
+        return np.einsum("...ij,...ji->...", inv @ u, inv @ v)
 
     def _conj_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``x^{-1/2} a x^{-1/2}``."""
@@ -163,17 +164,20 @@ class Spd(Manifold):
         self._check_point(y)
         return Tangent(x, self._log_parts(x, y.value)[0])
 
-    def log_stack(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """``Log_x(a_i)`` for a stack of SPD targets, shape ``(k, n, n)``.
+    def log_stack(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Log_x(a_i)`` and ``||Log_x(a_i)||_x^2`` for a stack of SPD targets.
 
-        The conjugations ``x^{-1/2} a_i x^{-1/2}`` are one matmul over the
-        stack and their eigendecompositions one ``eigh`` call. Member ``i``
-        of the result is bitwise equal to ``log(x, point(a_i)).value``, and
-        a target that :meth:`log` would reject raises the same
-        ``DomainError``. The targets must be symmetric, as
+        ``targets`` has shape ``(k, n, n)``; the result is the ``(k, n, n)``
+        logarithms and their ``(k,)`` squared norms. The conjugations
+        ``x^{-1/2} a_i x^{-1/2}`` are one matmul over the stack and their
+        eigendecompositions one ``eigh`` call. Member ``i`` is bitwise
+        equal to ``log(x, point(a_i)).value`` and to ``inner`` of that
+        tangent with itself, and a target that :meth:`log` would reject
+        raises the same ``DomainError``. The targets must be symmetric, as
         :meth:`point` makes them; they are not validated here.
         """
-        return self._log_parts(x, targets)[0]
+        logs = self._log_parts(x, targets)[0]
+        return logs, self._inner_array(x, logs, logs)
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)

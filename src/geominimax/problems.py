@@ -371,12 +371,11 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         """``(sum_i Log_m(m_i), sum_i ||Log_m(m_i)||^2)``, cached on ``m``."""
         got = m_pt.cache.get("rpca_penalty")
         if got is None:
-            logs = my.log_stack(m_pt, stack)
-            inv_logs = my._inv(m_pt) @ logs
+            logs, sqs = my.log_stack(m_pt, stack)
             # Summed one member at a time from zero, as separate
             # Spd.inner calls and array additions would sum them.
             sumsq = 0.0
-            for sq in np.einsum("kij,kji->k", inv_logs, inv_logs).tolist():
+            for sq in sqs.tolist():
                 sumsq += sq
             got = m_pt.cache["rpca_penalty"] = (logs.sum(axis=0, initial=0.0), sumsq)
         return got

@@ -209,11 +209,15 @@ class TestSpdLogStack:
         rng = np.random.default_rng(80 + n)
         x = m.point(random_spd(n, 0.2, 4.5, rng))
         targets = [m.point(random_spd(n, 0.2, 4.5, rng)) for _ in range(4)] + [x]
-        logs = m.log_stack(x, np.stack([t.value for t in targets]))
-        assert logs.shape == (5, n, n)
-        for got, t in zip(logs, targets):
-            assert np.array_equal(got, m.log(x, t).value)
-        assert np.array_equal(m.log_stack(x, x.value[None])[0], m.log(x, x).value)
+        logs, sqs = m.log_stack(x, np.stack([t.value for t in targets]))
+        assert logs.shape == (5, n, n) and sqs.shape == (5,)
+        for got, sq, t in zip(logs, sqs, targets):
+            lg = m.log(x, t)
+            assert np.array_equal(got, lg.value)
+            assert sq == m.inner(lg, lg)
+        one_log, one_sq = m.log_stack(x, x.value[None])
+        lg = m.log(x, x)
+        assert np.array_equal(one_log[0], lg.value) and one_sq[0] == m.inner(lg, lg)
 
     def test_non_positive_member_raises_the_log_message(self):
         # Both points are SPD, but x^-1/2 y x^-1/2 = diag(1, 1e-13, 1) is

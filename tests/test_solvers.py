@@ -123,7 +123,7 @@ class TestRcegStep:
     def test_correction_identity_on_spd(self):
         """Log_w(x+) = Log_w(x) - eta grad_x f(w, z) after every step."""
         rng = np.random.default_rng(3)
-        p = spd_bilinear(random_spd(3, 0.8, 1.25, rng), random_spd(3, 0.8, 1.25, rng))
+        p = spd_bilinear(random_spd(3, 0.5, 2.0, rng), random_spd(3, 0.5, 2.0, rng))
         mx, my = p.manifold_x, p.manifold_y
         x = mx.point(random_spd(3, 0.6, 1.8, rng))
         y = my.point(random_spd(3, 0.6, 1.8, rng))
