@@ -13,7 +13,10 @@ A run writes two files into its output directory:
   final status, and how far each factor's iterate went from its start
   against that factor's declared diameter (``domain_exceeded`` is true
   when either went further, so the ``eta = auto`` guarantee did not
-  apply).
+  apply), the smoothness constant ``L`` the run used with its source
+  (``null`` when neither the step size nor the gap estimate needed one),
+  and how many cadence points had no gap estimate, with the first reason
+  given.
 
 Everything except the ``wall_ms`` column is bitwise reproducible for a
 fixed config and seed: all randomness flows through one
@@ -398,18 +401,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     meta_path = out_dir / "meta.json"
     write_trace(result.records, trace_path)
     diameters = [problem.manifold_x.diameter_bound, problem.manifold_y.diameter_bound]
+    smoothness = problem.used_smoothness()
     meta = {
         "config": {k: v for k, v in asdict(cfg).items() if v is not None},
         "problem": problem.name,
         "tau_m": manifold_tau(problem.manifold_x),
         "tau_n": manifold_tau(problem.manifold_y),
         "eta": result.eta,
+        "smoothness": smoothness,
+        "smoothness_source": None if smoothness is None else problem.smoothness_source,
         "status": result.status,
         "iterations": result.state.t,
         "diagnostic": result.diagnostic,
         "max_dist_from_start": list(result.max_dist_from_start),
         "diameter_bound": diameters,
         "domain_exceeded": any(d > bound for d, bound in zip(result.max_dist_from_start, diameters)),
+        "gap_unavailable": result.gap_unavailable,
+        "gap_unavailable_reason": result.gap_diagnostic or None,
     }
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return ExperimentOutcome(

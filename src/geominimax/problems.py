@@ -60,8 +60,17 @@ class MinimaxProblem:
     smoothness_l : float or None
         Joint smoothness constant; ``None`` means "estimate on demand"
         via :meth:`smoothness`.
+    smoothness_source : str
+        How ``smoothness_l`` was obtained: ``"given"`` (the default) for a
+        constant passed in, ``"power_iteration"`` where a factory computes
+        it, ``"sampled"`` once :meth:`smoothness` has estimated it.
     known_saddle : (Point, Point) or None
         Reference saddle point when one is known in closed form.
+    best_response_x : callable Point -> Point, or None
+        Exact minimizer of the slice ``f(., y)``, for problems where it has
+        a closed form. :func:`~geominimax.solvers.estimate_duality_gap`
+        uses it in place of an inner Riemannian descent; ``None`` keeps
+        the descent.
     """
 
     name: str
@@ -71,8 +80,11 @@ class MinimaxProblem:
     grad_x: Callable[[Point, Point], Tangent]
     grad_y: Callable[[Point, Point], Tangent]
     smoothness_l: Optional[float] = None
+    smoothness_source: str = "given"
     known_saddle: Optional[tuple[Point, Point]] = None
+    best_response_x: Optional[Callable[[Point], Point]] = None
     _domain: Optional[Product] = field(default=None, repr=False)
+    _smoothness_used: bool = field(default=False, repr=False)
 
     @property
     def domain(self) -> Product:
@@ -89,7 +101,13 @@ class MinimaxProblem:
         """
         if self.smoothness_l is None:
             self.smoothness_l = estimate_smoothness(self, rng)
+            self.smoothness_source = "sampled"
+        self._smoothness_used = True
         return self.smoothness_l
+
+    def used_smoothness(self) -> Optional[float]:
+        """The constant :meth:`smoothness` has returned, or ``None`` if nothing asked for it."""
+        return self.smoothness_l if self._smoothness_used else None
 
 
 def numeric_riemannian_grad(manifold: Manifold, phi: Callable[[Point], float], x: Point, eps: float) -> Tangent:
@@ -221,6 +239,7 @@ def euclidean_quadratic(b, diameter_bound: float = 10.0) -> MinimaxProblem:
         grad_x=grad_x,
         grad_y=grad_y,
         smoothness_l=_operator_norm(b),
+        smoothness_source="power_iteration",
         known_saddle=saddle,
     )
 
@@ -338,6 +357,12 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
     (:meth:`~geominimax.manifolds.Spd.log_stack`); their sum and their
     summed squared norms are cached on the point.
 
+    The sphere slice ``min_x f(x, m) = -lambda_max(m) - pen(m)`` is solved
+    exactly by a leading eigenvector of ``m``. ``best_response_x`` returns
+    the first column of the eigendecomposition that every matrix point
+    already caches (``Spd.point`` and ``Spd.exp`` validate with it), so
+    the duality-gap estimate gets it without a new eigendecomposition.
+
     Parameters
     ----------
     data : sequence of SPD arrays, all n x n, length k >= 1.
@@ -396,6 +421,9 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         out = -np.outer(mx_vec, mx_vec)
         return Tangent(m_pt, symmetrize(out + (2.0 * alpha / k) * log_sum))
 
+    def best_response_x(m_pt: Point) -> Point:
+        return mx.point(my._dec(m_pt).q[:, 0])
+
     return MinimaxProblem(
         name="robust_pca",
         manifold_x=mx,
@@ -405,6 +433,7 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         grad_y=grad_y,
         smoothness_l=None,
         known_saddle=None,
+        best_response_x=best_response_x,
     )
 
 

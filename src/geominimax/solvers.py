@@ -245,8 +245,8 @@ class GapEstimate:
     """Result of a duality-gap estimation.
 
     ``estimate`` is ``max_y f(x^, y) - min_x f(x, y^)`` as achieved by
-    the inner solvers (floored at 0), or ``None`` when an inner solve
-    failed to converge (``available`` False, reason in ``diagnostic``).
+    the slice solutions (floored at 0), or ``None`` when one of them
+    failed its check (``available`` False, reason in ``diagnostic``).
     ``certified`` is the reference-based lower bound
     ``f(x^, y*) - f(x*, y^)`` when a known saddle exists.
     """
@@ -269,6 +269,10 @@ def certified_gap(problem: MinimaxProblem, x_hat: Point, y_hat: Point) -> Option
     return max(0.0, float(problem.value(x_hat, ys)) - float(problem.value(xs, y_hat)))
 
 
+# Relative rounding allowance when a best response is compared with x^.
+_BEST_RESPONSE_SLACK = 1e-12
+
+
 def estimate_duality_gap(
     problem: MinimaxProblem,
     at: Point,
@@ -276,12 +280,15 @@ def estimate_duality_gap(
 ) -> GapEstimate:
     """Estimate ``max_y f(x^, y) - min_x f(x, y^)`` at a pair point.
 
-    Runs Riemannian gradient ascent on the ``y`` slice and descent on
-    the ``x`` slice, both started from the given pair. The estimate is
-    only trusted when both inner solves drive their gradient norm to the
-    tolerance; otherwise the gap is reported as not available (this is
-    what happens on problems with unbounded slices, such as bilinear
-    couplings on all of R^n).
+    Runs Riemannian gradient ascent on the ``y`` slice, started from the
+    given pair. The ``x`` slice is solved by the problem's
+    ``best_response_x`` hook when it has one, and otherwise by Riemannian
+    gradient descent from the given pair. The estimate is only trusted
+    when both slice solutions drive their gradient norm to the tolerance,
+    and a hook's answer must also be no worse than ``x^`` itself;
+    otherwise the gap is reported as not available, with the reason in
+    ``diagnostic`` (this is what happens on problems with unbounded
+    slices, such as bilinear couplings on all of R^n).
     """
     if inner is None:
         inner = GapInnerSettings()
@@ -301,20 +308,34 @@ def estimate_duality_gap(
         )
         if my.norm(problem.grad_y(x_hat, y_best)) > inner.tol:
             return GapEstimate(None, cert, False, "inner ascent did not reach tolerance (possibly unbounded slice)")
-        x_best, _ = riemannian_gd(
-            mx,
-            lambda p: float(problem.value(p, y_hat)),
-            lambda p: problem.grad_x(p, y_hat),
-            x_hat,
-            eta,
-            inner.max_iters,
-            inner.tol,
-        )
+        if problem.best_response_x is not None:
+            x_best = problem.best_response_x(y_hat)
+        else:
+            x_best, _ = riemannian_gd(
+                mx,
+                lambda p: float(problem.value(p, y_hat)),
+                lambda p: problem.grad_x(p, y_hat),
+                x_hat,
+                eta,
+                inner.max_iters,
+                inner.tol,
+            )
         if mx.norm(problem.grad_x(x_best, y_hat)) > inner.tol:
             return GapEstimate(None, cert, False, "inner descent did not reach tolerance (possibly unbounded slice)")
+        low = float(problem.value(x_best, y_hat))
+        if problem.best_response_x is not None:
+            # A critical point that is not the minimizer (on robust PCA,
+            # any other eigenvector) passes the gradient check; it cannot
+            # beat the point it should improve on.
+            here = float(problem.value(x_hat, y_hat))
+            if low > here + _BEST_RESPONSE_SLACK * max(1.0, abs(here)):
+                return GapEstimate(
+                    None, cert, False,
+                    f"best_response_x is not a minimizer: its value {low:.17g} exceeds {here:.17g} at x^",
+                )
     except GeominimaxError as exc:
         return GapEstimate(None, cert, False, f"inner solver failed: {exc}")
-    est = max(0.0, float(problem.value(x_hat, y_best)) - float(problem.value(x_best, y_hat)))
+    est = max(0.0, float(problem.value(x_hat, y_best)) - low)
     return GapEstimate(est, cert, True, "")
 
 
@@ -343,6 +364,9 @@ class RunResult:
 
     ``max_dist_from_start`` is the largest distance of the current
     iterate from its start seen in the run, per factor ``(x, y)``.
+    ``gap_unavailable`` counts the cadence points whose duality-gap
+    estimate was not available, and ``gap_diagnostic`` is the reason
+    :func:`estimate_duality_gap` gave at the first of them.
     """
 
     records: list[IterationRecord]
@@ -353,6 +377,8 @@ class RunResult:
     algo: str
     averages: list[tuple[int, Point]] = field(default_factory=list)
     max_dist_from_start: tuple[float, float] = (0.0, 0.0)
+    gap_unavailable: int = 0
+    gap_diagnostic: str = ""
 
 
 # Distance from the initial pair beyond which a run is declared divergent,
@@ -404,6 +430,7 @@ def run(
     averages: list[tuple[int, Point]] = []
     status = "ok"
     diagnostic = ""
+    gap_misses: list[str] = []
     t_start = time.perf_counter()
 
     def should_record(t: int) -> bool:
@@ -420,7 +447,10 @@ def run(
         gap_val = None
         if diagnostics.gap_every is not None and t % diagnostics.gap_every == 0 and t > 0:
             est = estimate_duality_gap(problem, pair, gap_inner)
-            gap_val = est.estimate if est.available else None
+            if est.available:
+                gap_val = est.estimate
+            else:
+                gap_misses.append(est.diagnostic)
         return IterationRecord(
             t=t,
             value=float(problem.value(x, y)),
@@ -483,4 +513,6 @@ def run(
         algo=algo,
         averages=averages,
         max_dist_from_start=(far_x, far_y),
+        gap_unavailable=len(gap_misses),
+        gap_diagnostic=gap_misses[0] if gap_misses else "",
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geominimax import ConfigError
+from geominimax import ConfigError, problems
 from geominimax.checks import check_gradients, check_manifolds, check_rate, check_triangles
 from geominimax.cli import main
 from geominimax.harness import (
@@ -215,6 +215,32 @@ class TestRunExperiment:
         assert meta["diameter_bound"] == [10.0, 10.0]
         assert meta["max_dist_from_start"] == list(outcome.result.max_dist_from_start)
         assert meta["domain_exceeded"] is False
+        # eta = auto on a flat pair is 1 / (2 L), with L from power iteration
+        assert meta["smoothness"] == pytest.approx(1.0 / (2.0 * meta["eta"]), rel=1e-12)
+        assert meta["smoothness_source"] == "power_iteration"
+        assert meta["gap_unavailable"] == 0 and meta["gap_unavailable_reason"] is None
+
+    def test_meta_smoothness_is_null_when_no_constant_is_needed(self, tmp_path, monkeypatch):
+        """A fixed step with gap estimation off needs no L, and none is sampled."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("smoothness was estimated only to be reported")
+
+        monkeypatch.setattr(problems, "estimate_smoothness", refuse)
+        cfg = parse_config_text("problem = spd_bilinear\nn = 3\nalgo = rceg\neta = 0.2\niters = 3\ngap_every = off\n")
+        meta = json.loads(run_experiment(cfg, tmp_path).meta_path.read_text())
+        assert meta["smoothness"] is None and meta["smoothness_source"] is None
+
+    def test_meta_counts_unavailable_gap_estimates(self, tmp_path):
+        """The flat bilinear slices are unbounded away from the saddle, so no
+        cadence point gets an estimate."""
+        cfg = parse_config_text(
+            "problem = euclidean_quadratic\nn = 2\nalgo = rceg\neta = 0.1\niters = 8\nseed = 5\ngap_every = 4\n"
+        )
+        outcome = run_experiment(cfg, tmp_path)
+        meta = json.loads(outcome.meta_path.read_text())
+        assert meta["gap_unavailable"] == 2
+        assert meta["gap_unavailable_reason"] == outcome.result.gap_diagnostic
+        assert meta["gap_unavailable_reason"].startswith("inner ascent did not reach tolerance")
 
     @pytest.mark.parametrize("name, exceeded", [("robust_pca_a05", True), ("robust_pca_a2", False)])
     def test_meta_reports_domain_excursion(self, tmp_path, name, exceeded):
@@ -228,6 +254,7 @@ class TestRunExperiment:
         assert meta["domain_exceeded"] is exceeded
         assert (far[0] > diameter[0] or far[1] > diameter[1]) is exceeded
         assert meta["status"] == "ok"
+        assert meta["smoothness_source"] == "sampled" and meta["smoothness"] > 0.0
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         cfg = parse_config_text(

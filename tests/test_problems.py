@@ -14,7 +14,7 @@ from geominimax.problems import (
     robust_pca,
     spd_bilinear,
 )
-from geominimax.solvers import run
+from geominimax.solvers import riemannian_gd, run
 
 
 def rel_err(got, want, scale=1.0):
@@ -287,7 +287,35 @@ class TestRobustPca:
             prob.value(x, m)
             prob.grad_y(x, m)
             prob.value(x, m)
+            prob.best_response_x(m)  # reads the decomposition the point already has
             assert calls == [(6, 5, 5)]
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_best_response_x_is_the_sphere_slice_minimum(self, n):
+        """``f(best_response_x(m), m) = -lambda_max(m) - pen(m)``, and a
+        Riemannian descent of the slice from a random start does no better."""
+        rng = np.random.default_rng(40 + n)
+        data = [random_spd(n, 0.2, 4.5, rng) for _ in range(4)]
+        alpha = 0.7
+        prob = robust_pca(data, alpha)
+        mx, my = prob.manifold_x, prob.manifold_y
+        for _ in range(4):
+            m = my.point(random_spd(n, 0.3, 4.0, rng))
+            pen = (alpha / len(data)) * sum(my.distance(m, my.point(a)) ** 2 for a in data)
+            lam = np.linalg.eigvalsh(m.value)
+            best = prob.value(prob.best_response_x(m), m)
+            assert best == pytest.approx(-lam[-1] - pen, rel=1e-13, abs=1e-13)
+            x_gd, its = riemannian_gd(
+                mx,
+                lambda p: prob.value(p, m),
+                lambda p: prob.grad_x(p, m),
+                mx.random_point(rng),
+                0.25 / lam[-1],
+                20000,
+                1e-9,
+            )
+            assert its < 20000
+            assert best <= prob.value(x_gd, m) + 1e-12
 
     def test_single_matrix_penalty(self):
         rng = np.random.default_rng(11)

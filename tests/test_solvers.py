@@ -1,5 +1,7 @@
 """Tests for the saddle solvers, geodesic averaging, and gap estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ def decoupled_spd(n, rng, diameter_bound=8.0):
         smoothness_l=2.0,
         known_saddle=(a, b),
     )
+
+
+def count_inner_solves(monkeypatch):
+    """Patch ``solvers.riemannian_gd`` to record the manifold of every call."""
+    calls = []
+    gd = solvers.riemannian_gd
+
+    def counted(manifold, *args):
+        calls.append(manifold)
+        return gd(manifold, *args)
+
+    monkeypatch.setattr(solvers, "riemannian_gd", counted)
+    return calls
 
 
 def classical_eg_step(b, x, y, eta):
@@ -368,20 +383,56 @@ class TestDualityGap:
         assert est.diagnostic != ""
         assert est.certified is not None  # closed-form bound still exists
 
-    def test_closed_form_on_decoupled_spd(self):
+    def test_closed_form_on_decoupled_spd(self, monkeypatch):
         """Oracle: the gap of the decoupled problem at (x, y) is
-        d^2(x, a)/2 + d^2(y, b)/2, achieved at (a, b)."""
+        d^2(x, a)/2 + d^2(y, b)/2, achieved at (a, b). The problem has no
+        best-response hook, so both slices are solved by descent."""
         rng = np.random.default_rng(23)
         p = decoupled_spd(3, rng)
         a, b = p.known_saddle
         x = p.manifold_x.point(random_spd(3, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(3, 0.6, 1.8, rng))
         expected = 0.5 * p.manifold_x.distance(x, a) ** 2 + 0.5 * p.manifold_y.distance(y, b) ** 2
+        calls = count_inner_solves(monkeypatch)
         est = estimate_duality_gap(p, p.domain.join(x, y))
+        assert calls == [p.manifold_y, p.manifold_x]
         assert est.available
         assert est.estimate == pytest.approx(expected, rel=1e-6, abs=1e-9)
         assert est.certified == pytest.approx(expected, rel=1e-6, abs=1e-9)
         assert est.certified <= est.estimate + 1e-6
+
+    def rpca_pair(self, seed=41, n=4):
+        rng = np.random.default_rng(seed)
+        data = [random_spd(n, 0.2, 4.5, rng) for _ in range(3)]
+        p = robust_pca(data, alpha=1.0)
+        at = p.domain.join(p.manifold_x.random_point(rng), p.manifold_y.point(random_spd(n, 0.3, 4.0, rng)))
+        return p, at
+
+    def test_best_response_replaces_the_sphere_descent(self, monkeypatch):
+        """On robust PCA only the SPD ascent runs an inner solver, and the
+        estimate agrees with the one that descends the sphere slice."""
+        p, at = self.rpca_pair()
+        calls = count_inner_solves(monkeypatch)
+        est = estimate_duality_gap(p, at)
+        assert [type(m) for m in calls] == [Spd]
+        calls.clear()
+        ref = estimate_duality_gap(replace(p, best_response_x=None), at)
+        assert [type(m) for m in calls] == [Spd, Sphere]
+        assert est.available and ref.available
+        assert est.estimate == pytest.approx(ref.estimate, rel=1e-9)
+        assert est.estimate >= ref.estimate - 1e-12  # the exact minimum is never above the descent's
+
+    def test_hook_returning_another_eigenvector_is_rejected(self):
+        """Every eigenvector of m is a critical point of the sphere slice, so
+        the gradient check alone cannot reject the smallest one."""
+        p, at = self.rpca_pair()
+        mx, my = p.manifold_x, p.manifold_y
+        wrong = replace(p, best_response_x=lambda m: mx.point(my._dec(m).q[:, -1]))
+        y = p.domain.split(at)[1]
+        assert mx.norm(p.grad_x(wrong.best_response_x(y), y)) <= GapInnerSettings().tol
+        est = estimate_duality_gap(wrong, at)
+        assert not est.available and est.estimate is None
+        assert "best_response_x is not a minimizer" in est.diagnostic
 
     def test_estimate_is_floored_at_zero(self):
         rng = np.random.default_rng(29)
@@ -502,6 +553,28 @@ class TestRun:
         assert by_t[10].gap_estimate is not None
         assert by_t[0].gap_estimate is None
         assert by_t[3].gap_estimate is None
+        assert res.gap_unavailable == 0 and res.gap_diagnostic == ""
+
+    def test_unavailable_gap_estimates_are_counted(self):
+        """Away from the saddle the flat bilinear slices are unbounded: every
+        cadence point misses its estimate, and the first reason is kept."""
+        p = scalar_bilinear()
+        start = (p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
+        inner = GapInnerSettings(max_iters=50)
+        diag = RunDiagnostics(gap_every=5, gap_inner=inner)
+        res = run(p, "rceg", iters=20, start=start, eta=0.1, diagnostics=diag)
+        assert all(r.gap_estimate is None for r in res.records)
+        assert res.gap_unavailable == 4
+        assert res.gap_diagnostic == "inner ascent did not reach tolerance (possibly unbounded slice)"
+
+    def test_robust_pca_gap_runs_no_sphere_descent(self, monkeypatch):
+        cfg = ExperimentConfig(problem="robust_pca", n=4, k=3, alpha=2.0, algo="rceg", iters=20, gap_every=10)
+        p, x0, y0 = build_problem(cfg)
+        calls = count_inner_solves(monkeypatch)
+        res = run(p, "rceg", iters=20, start=(x0, y0), diagnostics=RunDiagnostics(gap_every=10))
+        assert [type(m) for m in calls] == [Spd, Spd]
+        assert res.gap_unavailable == 0
+        assert all(r.gap_estimate is not None for r in res.records if r.t in (10, 20))
 
     def test_keep_averages(self):
         rng = np.random.default_rng(61)
