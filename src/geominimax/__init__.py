@@ -47,6 +47,7 @@ from .solvers import (
     rceg_step,
     resolve_step_size,
     rgda_step,
+    riemannian_bb,
     riemannian_gd,
     run,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "rgda_step",
     "geodesic_average_update",
     "riemannian_gd",
+    "riemannian_bb",
     "certified_gap",
     "estimate_duality_gap",
     "run",

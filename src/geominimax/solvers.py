@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +33,7 @@ from .errors import (
     GeominimaxError,
     NumericalError,
     ParameterError,
+    StepTooLongError,
 )
 from .manifolds import Manifold, Point, Tangent
 from .problems import MinimaxProblem
@@ -48,6 +50,7 @@ __all__ = [
     "rgda_step",
     "geodesic_average_update",
     "riemannian_gd",
+    "riemannian_bb",
     "certified_gap",
     "estimate_duality_gap",
     "run",
@@ -231,13 +234,103 @@ def riemannian_gd(
     return x, max_iters
 
 
+# Riemannian Barzilai-Borwein: the range of a step, and the non-monotone
+# Armijo test. A monotone test (memory 1) stalls near a 1e-8 gradient
+# tolerance, where the decrease it asks for is below the rounding of phi.
+_BB_STEP_MIN = 1e-10
+_BB_STEP_MAX = 1e10
+_BB_MEMORY = 10
+_BB_DECREASE = 1e-4
+
+
+def riemannian_bb(
+    manifold: Manifold,
+    phi: Callable[[Point], float],
+    grad: Callable[[Point], Tangent],
+    x0: Point,
+    eta: float,
+    max_iters: int,
+    tol: float,
+) -> tuple[Point, int]:
+    """Riemannian Barzilai-Borwein descent with a non-monotone line search.
+
+    Takes the arguments of :func:`riemannian_gd` and returns the same
+    ``(point, steps)``. The first trial step is ``eta``; each later one is
+    the scalar ``<s, s> / <s, y>`` formed at the new point, where ``s`` is
+    the accepted step and ``y`` the change of gradient, with the old
+    vectors moved there by tangent-space projection (Iannazzo & Porcelli,
+    IMA J. Numer. Anal. 2018). The scalar is clipped to
+    ``[1e-10, 1e10]``, and ``1e10`` is used when ``<s, y> <= 0``. A trial
+    ``Exp_x(-t g)`` is accepted when ``phi`` falls to
+    ``1e-4 t ||g||^2`` below the largest of the last 10 accepted values;
+    otherwise ``t`` is halved. A trial whose exponential or value raises
+    ``StepTooLongError`` or ``DomainError``, or whose value is not finite,
+    is rejected the same way. Stops when the gradient norm falls to
+    ``tol`` or the iteration cap is reached.
+
+    Raises
+    ------
+    NumericalError
+        If no step of at least ``1e-10`` is accepted.
+    """
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ParameterError(f"step size must be positive and finite, got {eta!r}")
+    if max_iters < 0:
+        raise ParameterError(f"max_iters must be >= 0, got {max_iters}")
+    x = x0
+    recent = deque([float(phi(x))], maxlen=_BB_MEMORY)
+    g = grad(x)
+    t = eta
+    for it in range(max_iters):
+        gnorm = manifold.norm(g)
+        if gnorm <= tol:
+            return x, it
+        ref = max(recent)
+        while True:
+            step = (-t) * g
+            try:
+                trial = manifold.exp(x, step)
+                val = float(phi(trial))
+            except (StepTooLongError, DomainError):
+                val = math.nan
+            if math.isfinite(val) and val <= ref - _BB_DECREASE * t * gnorm**2:
+                break
+            t *= 0.5
+            if t < _BB_STEP_MIN:
+                raise NumericalError(
+                    f"inner Barzilai-Borwein line search found no decrease with a step of at least {_BB_STEP_MIN:g}"
+                )
+        g_new = grad(trial)
+        s = manifold._project_array(trial, step.value)
+        y = g_new.value - manifold._project_array(trial, g.value)
+        sy = manifold._inner_array(trial, s, y)
+        t = manifold._inner_array(trial, s, s) / sy if sy > 0.0 else _BB_STEP_MAX
+        t = min(_BB_STEP_MAX, max(_BB_STEP_MIN, t))
+        x, g = trial, g_new
+        recent.append(val)
+    return x, max_iters
+
+
 @dataclass(frozen=True)
 class GapInnerSettings:
-    """Settings for the inner solvers of :func:`estimate_duality_gap`."""
+    """Settings for the inner solvers of :func:`estimate_duality_gap`.
 
-    eta: Optional[float] = None  # None: 1 / (2 L)
+    ``eta`` is the first trial step of :func:`riemannian_bb` (``None``:
+    ``1 / (2 L)``), ``tol`` the gradient norm both slice solutions must
+    reach, and ``max_iters`` the cap on each inner solver's steps.
+    """
+
+    eta: Optional[float] = None
     tol: float = 1e-8
     max_iters: int = 10000
+
+    def __post_init__(self):
+        if self.eta is not None and not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ParameterError(f"inner step size must be None or positive and finite, got {self.eta!r}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ParameterError(f"inner tolerance must be positive and finite, got {self.tol!r}")
+        if self.max_iters < 0:
+            raise ParameterError(f"inner max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -280,15 +373,16 @@ def estimate_duality_gap(
 ) -> GapEstimate:
     """Estimate ``max_y f(x^, y) - min_x f(x, y^)`` at a pair point.
 
-    Runs Riemannian gradient ascent on the ``y`` slice, started from the
-    given pair. The ``x`` slice is solved by the problem's
-    ``best_response_x`` hook when it has one, and otherwise by Riemannian
-    gradient descent from the given pair. The estimate is only trusted
-    when both slice solutions drive their gradient norm to the tolerance,
-    and a hook's answer must also be no worse than ``x^`` itself;
-    otherwise the gap is reported as not available, with the reason in
-    ``diagnostic`` (this is what happens on problems with unbounded
-    slices, such as bilinear couplings on all of R^n).
+    Solves the ``y`` slice by :func:`riemannian_bb` ascent, started from
+    the given pair with a first trial step ``inner.eta`` (``1 / (2 L)`` by
+    default). The ``x`` slice is solved by the problem's
+    ``best_response_x`` hook when it has one, and otherwise by
+    :func:`riemannian_bb` descent from the given pair. The estimate is
+    only trusted when both slice solutions drive their gradient norm to
+    the tolerance, and a hook's answer must also be no worse than ``x^``
+    itself; otherwise the gap is reported as not available, with the
+    reason in ``diagnostic`` (this is what happens on problems with
+    unbounded slices, such as bilinear couplings on all of R^n).
     """
     if inner is None:
         inner = GapInnerSettings()
@@ -297,7 +391,7 @@ def estimate_duality_gap(
     eta = inner.eta if inner.eta is not None else 1.0 / (2.0 * problem.smoothness())
     cert = certified_gap(problem, x_hat, y_hat)
     try:
-        y_best, _ = riemannian_gd(
+        y_best, _ = riemannian_bb(
             my,
             lambda p: -float(problem.value(x_hat, p)),
             lambda p: -1.0 * problem.grad_y(x_hat, p),
@@ -311,7 +405,7 @@ def estimate_duality_gap(
         if problem.best_response_x is not None:
             x_best = problem.best_response_x(y_hat)
         else:
-            x_best, _ = riemannian_gd(
+            x_best, _ = riemannian_bb(
                 mx,
                 lambda p: float(problem.value(p, y_hat)),
                 lambda p: problem.grad_x(p, y_hat),

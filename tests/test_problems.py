@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geominimax.errors import NumericalError, ParameterError
+from geominimax.harness import ExperimentConfig, build_problem
 from geominimax.linalg import random_spd, symmetrize
 from geominimax.manifolds import Euclidean, Spd, Sphere
 from geominimax.problems import (
@@ -408,6 +409,16 @@ class TestSmoothnessEstimate:
         est = estimate_smoothness(prob, np.random.default_rng(20))
         op = np.linalg.norm(b, 2)
         assert 0.5 * op <= est <= 2.5 * op
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_constant_bounds_the_operator_norm(self, seed):
+        """``eta = auto`` is safe only if the sampled ``L`` is at least the
+        true constant; on the flat bilinear instance that is the operator
+        norm, which the problem knows by power iteration."""
+        cfg = ExperimentConfig(problem="euclidean_quadratic", n=20, algo="rceg", iters=1, seed=seed)
+        prob = build_problem(cfg)[0]
+        assert prob.smoothness_source == "power_iteration"
+        assert estimate_smoothness(prob) >= prob.smoothness_l
 
     def test_deterministic_default_stream(self):
         rng = np.random.default_rng(21)

@@ -12,6 +12,7 @@ from geominimax import (
     ParameterError,
     Spd,
     Sphere,
+    StepTooLongError,
     GapInnerSettings,
     RunDiagnostics,
     certified_gap,
@@ -22,6 +23,7 @@ from geominimax import (
     rceg_step,
     resolve_step_size,
     rgda_step,
+    riemannian_bb,
     riemannian_gd,
     robust_pca,
     run,
@@ -65,15 +67,15 @@ def decoupled_spd(n, rng, diameter_bound=8.0):
 
 
 def count_inner_solves(monkeypatch):
-    """Patch ``solvers.riemannian_gd`` to record the manifold of every call."""
+    """Patch ``solvers.riemannian_bb`` to record the manifold of every call."""
     calls = []
-    gd = solvers.riemannian_gd
+    bb = solvers.riemannian_bb
 
     def counted(manifold, *args):
         calls.append(manifold)
-        return gd(manifold, *args)
+        return bb(manifold, *args)
 
-    monkeypatch.setattr(solvers, "riemannian_gd", counted)
+    monkeypatch.setattr(solvers, "riemannian_bb", counted)
     return calls
 
 
@@ -363,7 +365,145 @@ class TestRiemannianGd:
             riemannian_gd(m, lambda p: 0.0, lambda p: m.zero_tangent(p), m.point([0.0]), 0.1, -1, 1e-8)
 
 
+class TestRiemannianBb:
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_matches_fixed_step_ascent_on_robust_pca_spd_slices(self, n):
+        """The SPD slice of the duality-gap estimate on the shipped robust PCA
+        instance (k = 8, both penalties), solved from the start pair and from
+        random pairs with the estimate's first step ``1 / (2 L)``: the same
+        maximum as the fixed-step reference, in fewer iterations. A monotone
+        line search stalls on some of these slices near the tolerance."""
+        rng = np.random.default_rng(60 + n)
+        for alpha in (2.0, 0.5):
+            cfg = ExperimentConfig(problem="robust_pca", n=n, k=8, mu=0.2, l=4.5, alpha=alpha, algo="rceg", iters=1)
+            p, x0, y0 = build_problem(cfg)
+            mx, my = p.manifold_x, p.manifold_y
+            eta = 1.0 / (2.0 * p.smoothness())
+            starts = [(x0, y0)] + [(mx.random_point(rng), my.point(random_spd(n, 0.3, 4.0, rng))) for _ in range(2)]
+            for x, y in starts:
+                phi = lambda m: -float(p.value(x, m))
+                grad = lambda m: -1.0 * p.grad_y(x, m)
+                y_bb, its_bb = riemannian_bb(my, phi, grad, y, eta, 10000, 1e-8)
+                y_gd, its_gd = riemannian_gd(my, phi, grad, y, eta, 10000, 1e-8)
+                assert its_gd < 10000
+                assert my.norm(grad(y_bb)) <= 1e-8
+                assert phi(y_bb) == pytest.approx(phi(y_gd), rel=1e-12)
+                assert its_bb < its_gd
+
+    def test_spd_one_step_to_target(self):
+        """Minimizing d^2(x, a)/2 with a first step of 1 lands exactly on a."""
+        rng = np.random.default_rng(8)
+        m = Spd(3)
+        a = m.point(random_spd(3, 0.5, 2.0, rng))
+        x0 = m.point(random_spd(3, 0.5, 2.0, rng))
+        x, iters = riemannian_bb(
+            m, lambda p: 0.5 * m.distance(p, a) ** 2, lambda p: -1.0 * m.log(p, a), x0, 1.0, 50, 1e-10
+        )
+        np.testing.assert_allclose(x.value, a.value, atol=1e-9)
+        assert iters == 1
+
+    def test_bb_scalar_is_formed_at_the_new_point(self):
+        """The second trial step is ``<s, s> / <s, y>`` under the metric of
+        the accepted point, with ``s`` and the old gradient carried over as
+        matrices; under the old point's metric the scalar differs."""
+        rng = np.random.default_rng(12)
+        m = Spd(3)
+        a = m.point(random_spd(3, 0.3, 4.0, rng))
+        x0 = m.point(random_spd(3, 0.3, 4.0, rng))
+        trials = []
+
+        def phi(p):
+            trials.append(p)
+            return 0.5 * m.distance(p, a) ** 2
+
+        grad = lambda p: -1.0 * m.log(p, a)
+        riemannian_bb(m, phi, grad, x0, 0.5, 2, 1e-12)
+        x1 = trials[1]
+        g0, g1 = grad(x0), grad(x1)
+        np.testing.assert_allclose(x1.value, m.exp(x0, -0.5 * g0).value, rtol=0, atol=1e-14)
+        s, y = -0.5 * g0.value, g1.value - g0.value
+        t_new = m._inner_array(x1, s, s) / m._inner_array(x1, s, y)
+        t_old = m._inner_array(x0, s, s) / m._inner_array(x0, s, y)
+        assert abs(t_new - t_old) > 1e-3 * t_new
+        np.testing.assert_allclose(trials[2].value, m.exp(x1, -t_new * g1).value, rtol=0, atol=1e-12)
+
+    def test_zero_iterations_at_optimum(self):
+        m = Euclidean(2)
+        x0 = m.point([0.0, 0.0])
+        x, iters = riemannian_bb(
+            m, lambda p: 0.5 * p.value @ p.value, lambda p: m.tangent(p, p.value), x0, 0.5, 50, 1e-10
+        )
+        assert iters == 0
+        assert x is x0
+
+    def test_unbounded_linear_slice_returns_at_the_cap(self):
+        """With a constant gradient ``<s, y> = 0``, so every later step is
+        the largest one; the solver stops at its cap without raising."""
+        m = Euclidean(1)
+        x, iters = riemannian_bb(m, lambda p: p.value[0], lambda p: m.tangent(p, [1.0]), m.point([0.0]), 0.1, 25, 1e-12)
+        assert iters == 25
+        assert np.isfinite(x.value[0]) and x.value[0] < -1e10
+
+    def test_sphere_step_past_the_exp_guard_is_halved(self):
+        """A trial step longer than the sphere's exp guard is rejected and
+        halved; the minimizer of ``-x_0`` is still found."""
+        m = Sphere(3)
+        e0 = np.array([1.0, 0.0, 0.0])
+        refused = []
+        exp = m.exp
+
+        def guarded_exp(x, v):
+            try:
+                return exp(x, v)
+            except StepTooLongError:
+                refused.append(m.norm(v))
+                raise
+
+        m.exp = guarded_exp
+        x, iters = riemannian_bb(
+            m, lambda p: -float(p.value[0]), lambda p: m.tangent(p, -e0 + p.value[0] * p.value), m.point([0.0, 1.0, 0.0]), 10.0, 200, 1e-10
+        )
+        assert refused and refused[0] == pytest.approx(10.0)
+        np.testing.assert_allclose(x.value, e0, atol=1e-9)
+        assert iters < 200
+
+    def test_no_acceptable_step_raises(self):
+        """Trials whose value is not finite are rejected until the step
+        falls below its lower bound."""
+        m = Euclidean(1)
+        x0 = m.point([1.0])
+        with pytest.raises(NumericalError, match="line search"):
+            riemannian_bb(
+                m, lambda p: 0.5 if p is x0 else float("nan"), lambda p: m.tangent(p, p.value), x0, 1.0, 10, 1e-12
+            )
+
+    def test_parameter_validation(self):
+        m = Euclidean(1)
+        with pytest.raises(ParameterError):
+            riemannian_bb(m, lambda p: 0.0, lambda p: m.zero_tangent(p), m.point([0.0]), -1.0, 10, 1e-8)
+        with pytest.raises(ParameterError):
+            riemannian_bb(m, lambda p: 0.0, lambda p: m.zero_tangent(p), m.point([0.0]), 0.1, -1, 1e-8)
+
+
 class TestDualityGap:
+    def test_inner_settings_are_validated(self):
+        """A nan tolerance would pass every ``norm > tol`` check, so an
+        unverified estimate would be reported available."""
+        for bad in (
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
+            dict(tol=0.0),
+            dict(tol=-1e-8),
+            dict(eta=-0.1),
+            dict(eta=0.0),
+            dict(eta=float("nan")),
+            dict(eta=float("inf")),
+            dict(max_iters=-1),
+        ):
+            with pytest.raises(ParameterError):
+                GapInnerSettings(**bad)
+        GapInnerSettings(eta=None, tol=1e-8, max_iters=0)
+
     def test_zero_at_saddle_of_flat_bilinear(self):
         p = scalar_bilinear()
         at = p.domain.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
