@@ -35,7 +35,6 @@ from .problems import (
 )
 from .solvers import (
     GapEstimate,
-    GapInnerSettings,
     IterationRecord,
     RunDiagnostics,
     RunResult,
@@ -87,7 +86,6 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "RunDiagnostics",
-    "GapInnerSettings",
     "GapEstimate",
     "make_state",
     "resolve_step_size",

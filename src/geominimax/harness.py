@@ -305,8 +305,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[MinimaxProblem, Point, Point]:
     - ``spd_bilinear``: saddle component x*, then y*, each via
       :func:`~geominimax.linalg.random_spd` with spectrum [mu, l]; the
       start is the identity pair (no further draws).
-    - ``robust_pca``: the k data matrices in order (identical to
-      :func:`generate_dataset` with the same seed); the start is
+    - ``robust_pca``: the k data matrices, drawn by
+      :func:`generate_dataset` from the same seed; the start is
       data-derived (Euclidean mean and its leading unit eigenvector),
       no further draws.
     - ``augmented_lagrangian``: the SPD target matrix; the start is the
@@ -326,7 +326,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[MinimaxProblem, Point, Point]:
         eye = np.eye(cfg.n)
         return problem, problem.manifold_x.point(eye), problem.manifold_y.point(eye)
     if cfg.problem == "robust_pca":
-        data = [random_spd(cfg.n, cfg.mu, cfg.l, rng) for _ in range(cfg.k)]
+        data = generate_dataset(cfg.n, cfg.k, cfg.mu, cfg.l, cfg.seed)
         problem = robust_pca(data, alpha=float(cfg.alpha))
         mean = np.mean(data, axis=0)
         dec = sym_eig(mean)

@@ -93,14 +93,14 @@ class MinimaxProblem:
             self._domain = Product(self.manifold_x, self.manifold_y)
         return self._domain
 
-    def smoothness(self, rng: Optional[np.random.Generator] = None) -> float:
+    def smoothness(self) -> float:
         """Smoothness constant, estimating it empirically if not known.
 
-        The estimate is cached on the problem; with the default ``rng``
-        (a fixed internal seed) repeated calls are deterministic.
+        The estimate is cached on the problem and drawn from a fixed
+        internal seed, so repeated calls are deterministic.
         """
         if self.smoothness_l is None:
-            self.smoothness_l = estimate_smoothness(self, rng)
+            self.smoothness_l = estimate_smoothness(self)
             self.smoothness_source = "sampled"
         self._smoothness_used = True
         return self.smoothness_l
@@ -147,10 +147,10 @@ def numeric_riemannian_grad(manifold: Manifold, phi: Callable[[Point], float], x
     return Tangent(x, out)
 
 
-def estimate_smoothness(problem: MinimaxProblem, rng: Optional[np.random.Generator] = None, samples: int = 100) -> float:
+def estimate_smoothness(problem: MinimaxProblem, rng: Optional[np.random.Generator] = None) -> float:
     """Empirical joint smoothness constant of a saddle objective.
 
-    Draws ``samples`` random point pairs ``(x1, y1)``, ``(x2, y2)`` with
+    Draws 100 random point pairs ``(x1, y1)``, ``(x2, y2)`` with
     the second pair near the first, transports gradients to a common
     tangent space, and returns twice the largest observed ratio
 
@@ -165,7 +165,7 @@ def estimate_smoothness(problem: MinimaxProblem, rng: Optional[np.random.Generat
     rx = min(mx.diameter_bound / 2.0, 1.5)
     ry = min(my.diameter_bound / 2.0, 1.5)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         x1 = mx.random_point(rng)
         y1 = my.random_point(rng)
         x2 = mx.random_point(rng, near=x1, radius=rx)

@@ -42,7 +42,6 @@ __all__ = [
     "SolverState",
     "IterationRecord",
     "RunResult",
-    "GapInnerSettings",
     "GapEstimate",
     "make_state",
     "resolve_step_size",
@@ -312,40 +311,16 @@ def riemannian_bb(
 
 
 @dataclass(frozen=True)
-class GapInnerSettings:
-    """Settings for the inner solvers of :func:`estimate_duality_gap`.
-
-    ``eta`` is the first trial step of :func:`riemannian_bb` (``None``:
-    ``1 / (2 L)``), ``tol`` the gradient norm both slice solutions must
-    reach, and ``max_iters`` the cap on each inner solver's steps.
-    """
-
-    eta: Optional[float] = None
-    tol: float = 1e-8
-    max_iters: int = 10000
-
-    def __post_init__(self):
-        if self.eta is not None and not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ParameterError(f"inner step size must be None or positive and finite, got {self.eta!r}")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ParameterError(f"inner tolerance must be positive and finite, got {self.tol!r}")
-        if self.max_iters < 0:
-            raise ParameterError(f"inner max_iters must be >= 0, got {self.max_iters}")
-
-
-@dataclass(frozen=True)
 class GapEstimate:
     """Result of a duality-gap estimation.
 
     ``estimate`` is ``max_y f(x^, y) - min_x f(x, y^)`` as achieved by
     the slice solutions (floored at 0), or ``None`` when one of them
     failed its check (``available`` False, reason in ``diagnostic``).
-    ``certified`` is the reference-based lower bound
-    ``f(x^, y*) - f(x*, y^)`` when a known saddle exists.
+    The reference-based lower bound is :func:`certified_gap`.
     """
 
     estimate: Optional[float]
-    certified: Optional[float]
     available: bool
     diagnostic: str = ""
 
@@ -362,34 +337,33 @@ def certified_gap(problem: MinimaxProblem, x_hat: Point, y_hat: Point) -> Option
     return max(0.0, float(problem.value(x_hat, ys)) - float(problem.value(xs, y_hat)))
 
 
+# Gradient norm both slice solutions must reach for the estimate to count.
+_GAP_TOL = 1e-8
 # Relative rounding allowance when a best response is compared with x^.
 _BEST_RESPONSE_SLACK = 1e-12
 
 
-def estimate_duality_gap(
-    problem: MinimaxProblem,
-    at: Point,
-    inner: Optional[GapInnerSettings] = None,
-) -> GapEstimate:
+def estimate_duality_gap(problem: MinimaxProblem, at: Point, max_iters: int = 10000) -> GapEstimate:
     """Estimate ``max_y f(x^, y) - min_x f(x, y^)`` at a pair point.
 
     Solves the ``y`` slice by :func:`riemannian_bb` ascent, started from
-    the given pair with a first trial step ``inner.eta`` (``1 / (2 L)`` by
-    default). The ``x`` slice is solved by the problem's
-    ``best_response_x`` hook when it has one, and otherwise by
-    :func:`riemannian_bb` descent from the given pair. The estimate is
+    the given pair with a first trial step ``1 / (2 L)``. The ``x`` slice
+    is solved by the problem's ``best_response_x`` hook when it has one,
+    and otherwise by :func:`riemannian_bb` descent from the given pair.
+    Each inner solver takes at most ``max_iters`` steps. The estimate is
     only trusted when both slice solutions drive their gradient norm to
-    the tolerance, and a hook's answer must also be no worse than ``x^``
+    ``1e-8``, and a hook's answer must also be no worse than ``x^``
     itself; otherwise the gap is reported as not available, with the
-    reason in ``diagnostic`` (this is what happens on problems with
-    unbounded slices, such as bilinear couplings on all of R^n).
+    reason in ``diagnostic``. That is what happens on problems with
+    unbounded slices, such as bilinear couplings on all of R^n, and only
+    after the inner solver has spent its whole budget: under :func:`run`,
+    up to ``max(10000, 10 * iters)`` steps at every cadence point.
     """
-    if inner is None:
-        inner = GapInnerSettings()
+    if max_iters < 0:
+        raise ParameterError(f"max_iters must be >= 0, got {max_iters}")
     mx, my = problem.manifold_x, problem.manifold_y
     x_hat, y_hat = problem.domain.split(at)
-    eta = inner.eta if inner.eta is not None else 1.0 / (2.0 * problem.smoothness())
-    cert = certified_gap(problem, x_hat, y_hat)
+    eta = 1.0 / (2.0 * problem.smoothness())
     try:
         y_best, _ = riemannian_bb(
             my,
@@ -397,11 +371,11 @@ def estimate_duality_gap(
             lambda p: -1.0 * problem.grad_y(x_hat, p),
             y_hat,
             eta,
-            inner.max_iters,
-            inner.tol,
+            max_iters,
+            _GAP_TOL,
         )
-        if my.norm(problem.grad_y(x_hat, y_best)) > inner.tol:
-            return GapEstimate(None, cert, False, "inner ascent did not reach tolerance (possibly unbounded slice)")
+        if my.norm(problem.grad_y(x_hat, y_best)) > _GAP_TOL:
+            return GapEstimate(None, False, "inner ascent did not reach tolerance (possibly unbounded slice)")
         if problem.best_response_x is not None:
             x_best = problem.best_response_x(y_hat)
         else:
@@ -411,11 +385,11 @@ def estimate_duality_gap(
                 lambda p: problem.grad_x(p, y_hat),
                 x_hat,
                 eta,
-                inner.max_iters,
-                inner.tol,
+                max_iters,
+                _GAP_TOL,
             )
-        if mx.norm(problem.grad_x(x_best, y_hat)) > inner.tol:
-            return GapEstimate(None, cert, False, "inner descent did not reach tolerance (possibly unbounded slice)")
+        if mx.norm(problem.grad_x(x_best, y_hat)) > _GAP_TOL:
+            return GapEstimate(None, False, "inner descent did not reach tolerance (possibly unbounded slice)")
         low = float(problem.value(x_best, y_hat))
         if problem.best_response_x is not None:
             # A critical point that is not the minimizer (on robust PCA,
@@ -424,13 +398,13 @@ def estimate_duality_gap(
             here = float(problem.value(x_hat, y_hat))
             if low > here + _BEST_RESPONSE_SLACK * max(1.0, abs(here)):
                 return GapEstimate(
-                    None, cert, False,
+                    None, False,
                     f"best_response_x is not a minimizer: its value {low:.17g} exceeds {here:.17g} at x^",
                 )
     except GeominimaxError as exc:
-        return GapEstimate(None, cert, False, f"inner solver failed: {exc}")
+        return GapEstimate(None, False, f"inner solver failed: {exc}")
     est = max(0.0, float(problem.value(x_hat, y_best)) - low)
-    return GapEstimate(est, cert, True, "")
+    return GapEstimate(est, True, "")
 
 
 @dataclass
@@ -438,17 +412,17 @@ class RunDiagnostics:
     """Recording configuration for :func:`run`.
 
     ``record_every`` is the row cadence, ``gap_every`` the duality-gap
-    cadence (``None`` disables gap estimation), ``reference`` overrides
-    the distance reference (defaults to the problem's known saddle), and
-    ``keep_averages`` folds the geodesic running mean of the extrapolated
-    pairs after every step into ``RunResult.averages``; nothing else
-    computes that average.
+    cadence (``None`` disables gap estimation), and ``keep_averages``
+    folds the geodesic running mean of the extrapolated pairs after every
+    step into ``RunResult.averages``; nothing else computes that average.
+    Each gap estimate gives its inner solvers ``max(10000, 10 * iters)``
+    steps, which a cadence point on an unbounded slice spends in full
+    before it reports the estimate unavailable. Distances are measured to
+    the problem's known saddle.
     """
 
     record_every: int = 1
     gap_every: Optional[int] = None
-    gap_inner: Optional[GapInnerSettings] = None
-    reference: Optional[tuple[Point, Point]] = None
     keep_averages: bool = False
 
 
@@ -468,7 +442,6 @@ class RunResult:
     status: str  # "ok" or "diverged"
     diagnostic: str
     eta: float
-    algo: str
     averages: list[tuple[int, Point]] = field(default_factory=list)
     max_dist_from_start: tuple[float, float] = (0.0, 0.0)
     gap_unavailable: int = 0
@@ -515,8 +488,7 @@ def run(
     prod = problem.domain
     state = make_state(problem, start[0], start[1], eta_val)
     mx, my = problem.manifold_x, problem.manifold_y
-    reference = diagnostics.reference if diagnostics.reference is not None else problem.known_saddle
-    ref_pair = prod.join(reference[0], reference[1]) if reference is not None else None
+    ref_pair = prod.join(*problem.known_saddle) if problem.known_saddle is not None else None
     scale = max(1.0, prod.distance(state.current, ref_pair)) if ref_pair is not None else 1.0
     threshold = _DIVERGENCE_FACTOR * scale
 
@@ -532,15 +504,13 @@ def run(
 
     # Inner gap solvers get ten times the outer budget (with a floor) so
     # their tolerance is reachable whenever the slices are well posed.
-    gap_inner = diagnostics.gap_inner
-    if gap_inner is None and diagnostics.gap_every is not None:
-        gap_inner = GapInnerSettings(max_iters=max(10000, 10 * iters))
+    gap_budget = max(10000, 10 * iters)
 
     def make_record(t: int, pair: Point, grads: tuple[Tangent, Tangent]) -> IterationRecord:
         x, y = prod.split(pair)
         gap_val = None
         if diagnostics.gap_every is not None and t % diagnostics.gap_every == 0 and t > 0:
-            est = estimate_duality_gap(problem, pair, gap_inner)
+            est = estimate_duality_gap(problem, pair, gap_budget)
             if est.available:
                 gap_val = est.estimate
             else:
@@ -604,7 +574,6 @@ def run(
         status=status,
         diagnostic=diagnostic,
         eta=eta_val,
-        algo=algo,
         averages=averages,
         max_dist_from_start=(far_x, far_y),
         gap_unavailable=len(gap_misses),

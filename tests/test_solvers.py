@@ -13,7 +13,6 @@ from geominimax import (
     Spd,
     Sphere,
     StepTooLongError,
-    GapInnerSettings,
     RunDiagnostics,
     certified_gap,
     estimate_duality_gap,
@@ -486,23 +485,13 @@ class TestRiemannianBb:
 
 
 class TestDualityGap:
-    def test_inner_settings_are_validated(self):
-        """A nan tolerance would pass every ``norm > tol`` check, so an
-        unverified estimate would be reported available."""
-        for bad in (
-            dict(tol=float("nan")),
-            dict(tol=float("inf")),
-            dict(tol=0.0),
-            dict(tol=-1e-8),
-            dict(eta=-0.1),
-            dict(eta=0.0),
-            dict(eta=float("nan")),
-            dict(eta=float("inf")),
-            dict(max_iters=-1),
-        ):
-            with pytest.raises(ParameterError):
-                GapInnerSettings(**bad)
-        GapInnerSettings(eta=None, tol=1e-8, max_iters=0)
+    def test_negative_inner_budget_is_rejected(self):
+        """A negative budget is a caller error, not an "inner solver failed"
+        estimate."""
+        p = scalar_bilinear()
+        at = p.domain.join(p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
+        with pytest.raises(ParameterError):
+            estimate_duality_gap(p, at, max_iters=-1)
 
     def test_zero_at_saddle_of_flat_bilinear(self):
         p = scalar_bilinear()
@@ -510,18 +499,18 @@ class TestDualityGap:
         est = estimate_duality_gap(p, at)
         assert est.available
         assert est.estimate == pytest.approx(0.0, abs=1e-12)
-        assert est.certified == pytest.approx(0.0, abs=1e-12)
+        assert certified_gap(p, *p.domain.split(at)) == pytest.approx(0.0, abs=1e-12)
 
     def test_unbounded_slice_reports_not_available(self):
         """Away from the saddle the bilinear slices are unbounded, so the
         inner solvers cannot converge and the estimate is withheld."""
         p = scalar_bilinear()
         at = p.domain.join(p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
-        est = estimate_duality_gap(p, at, GapInnerSettings(max_iters=200))
+        est = estimate_duality_gap(p, at, max_iters=200)
         assert not est.available
         assert est.estimate is None
         assert est.diagnostic != ""
-        assert est.certified is not None  # closed-form bound still exists
+        assert certified_gap(p, *p.domain.split(at)) is not None  # closed-form bound still exists
 
     def test_closed_form_on_decoupled_spd(self, monkeypatch):
         """Oracle: the gap of the decoupled problem at (x, y) is
@@ -538,8 +527,9 @@ class TestDualityGap:
         assert calls == [p.manifold_y, p.manifold_x]
         assert est.available
         assert est.estimate == pytest.approx(expected, rel=1e-6, abs=1e-9)
-        assert est.certified == pytest.approx(expected, rel=1e-6, abs=1e-9)
-        assert est.certified <= est.estimate + 1e-6
+        cert = certified_gap(p, x, y)
+        assert cert == pytest.approx(expected, rel=1e-6, abs=1e-9)
+        assert cert <= est.estimate + 1e-6
 
     def rpca_pair(self, seed=41, n=4):
         rng = np.random.default_rng(seed)
@@ -569,7 +559,7 @@ class TestDualityGap:
         mx, my = p.manifold_x, p.manifold_y
         wrong = replace(p, best_response_x=lambda m: mx.point(my._dec(m).q[:, -1]))
         y = p.domain.split(at)[1]
-        assert mx.norm(p.grad_x(wrong.best_response_x(y), y)) <= GapInnerSettings().tol
+        assert mx.norm(p.grad_x(wrong.best_response_x(y), y)) <= 1e-8
         est = estimate_duality_gap(wrong, at)
         assert not est.available and est.estimate is None
         assert "best_response_x is not a minimizer" in est.diagnostic
@@ -595,7 +585,7 @@ class TestDualityGap:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        est = estimate_duality_gap(p, p.domain.join(x, y), GapInnerSettings(max_iters=1))
+        est = estimate_duality_gap(p, p.domain.join(x, y), max_iters=1)
         assert not est.available
         assert est.estimate is None
 
@@ -700,9 +690,7 @@ class TestRun:
         cadence point misses its estimate, and the first reason is kept."""
         p = scalar_bilinear()
         start = (p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
-        inner = GapInnerSettings(max_iters=50)
-        diag = RunDiagnostics(gap_every=5, gap_inner=inner)
-        res = run(p, "rceg", iters=20, start=start, eta=0.1, diagnostics=diag)
+        res = run(p, "rceg", iters=20, start=start, eta=0.1, diagnostics=RunDiagnostics(gap_every=5))
         assert all(r.gap_estimate is None for r in res.records)
         assert res.gap_unavailable == 4
         assert res.gap_diagnostic == "inner ascent did not reach tolerance (possibly unbounded slice)"
