@@ -36,7 +36,6 @@ from .problems import (
 from .solvers import (
     GapEstimate,
     IterationRecord,
-    RunDiagnostics,
     RunResult,
     SolverState,
     certified_gap,
@@ -85,7 +84,6 @@ __all__ = [
     "SolverState",
     "IterationRecord",
     "RunResult",
-    "RunDiagnostics",
     "GapEstimate",
     "make_state",
     "resolve_step_size",

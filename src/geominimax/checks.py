@@ -41,7 +41,7 @@ from .problems import (
     robust_pca,
     spd_bilinear,
 )
-from .solvers import RunDiagnostics, certified_gap, resolve_step_size, run
+from .solvers import certified_gap, resolve_step_size, run
 
 __all__ = [
     "CheckLine",
@@ -242,7 +242,8 @@ def check_rate(iters: int = 200, seed: int = 0) -> list[CheckLine]:
         iters=iters,
         start=(x0, y0),
         eta=eta,
-        diagnostics=RunDiagnostics(record_every=max(1, iters), keep_averages=True),
+        record_every=max(1, iters),
+        keep_averages=True,
     )
     worst = -np.inf
     for t, avg in res.averages:

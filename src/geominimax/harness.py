@@ -38,7 +38,7 @@ import numpy as np
 from .curvature import manifold_tau
 from .errors import ConfigError
 from .linalg import random_spd, sym_eig
-from .manifolds import Euclidean, Point, Spd
+from .manifolds import Point, Spd
 from .problems import (
     MinimaxProblem,
     augmented_lagrangian,
@@ -46,7 +46,7 @@ from .problems import (
     robust_pca,
     spd_bilinear,
 )
-from .solvers import RunDiagnostics, RunResult, resolve_step_size, run
+from .solvers import RunResult, run
 
 __all__ = [
     "ExperimentConfig",
@@ -391,11 +391,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     problem, x0, y0 = build_problem(cfg)
-    diagnostics = RunDiagnostics(
-        record_every=cfg.record_every,
-        gap_every=None if cfg.gap_every == "off" else int(cfg.gap_every),
-    )
-    result = run(problem, cfg.algo, iters=cfg.iters, start=(x0, y0), eta=cfg.eta, diagnostics=diagnostics)
+    gap_every = None if cfg.gap_every == "off" else int(cfg.gap_every)
+    result = run(problem, cfg.algo, cfg.iters, (x0, y0), cfg.eta, record_every=cfg.record_every, gap_every=gap_every)
 
     trace_path = out_dir / "trace.csv"
     meta_path = out_dir / "meta.json"
@@ -403,11 +400,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     diameters = [problem.manifold_x.diameter_bound, problem.manifold_y.diameter_bound]
     smoothness = problem.used_smoothness()
     meta = {
-        "config": {k: v for k, v in asdict(cfg).items() if v is not None},
+        "config": {k: v for k, v in asdict(replace(cfg, out=str(out_dir))).items() if v is not None},
         "problem": problem.name,
         "tau_m": manifold_tau(problem.manifold_x),
         "tau_n": manifold_tau(problem.manifold_y),
-        "eta": result.eta,
+        "eta": result.state.eta,
         "smoothness": smoothness,
         "smoothness_source": None if smoothness is None else problem.smoothness_source,
         "status": result.status,

@@ -206,11 +206,12 @@ def _operator_norm(b: np.ndarray) -> float:
     return math.sqrt(max(cur, 0.0)) * (1.0 + 1e-9)
 
 
-def euclidean_quadratic(b, diameter_bound: float = 10.0) -> MinimaxProblem:
+def euclidean_quadratic(b) -> MinimaxProblem:
     """Bilinear coupling ``f(x, y) = x . (b y)`` on R^n x R^n.
 
     The unique saddle point is the origin pair; the smoothness constant
-    is the operator norm of ``b`` (power-iteration estimate).
+    is the operator norm of ``b`` (power-iteration estimate). Both
+    factors have the ``Euclidean`` default diameter 10.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
@@ -218,8 +219,8 @@ def euclidean_quadratic(b, diameter_bound: float = 10.0) -> MinimaxProblem:
     if not np.all(np.isfinite(b)):
         raise ParameterError("coupling matrix contains non-finite entries")
     n = b.shape[0]
-    mx = Euclidean(n, diameter_bound)
-    my = Euclidean(n, diameter_bound)
+    mx = Euclidean(n)
+    my = Euclidean(n)
 
     def value(x: Point, y: Point) -> float:
         return float(x.value @ (b @ y.value))
@@ -336,7 +337,7 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
     )
 
 
-def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_diameter: Optional[float] = None) -> MinimaxProblem:
+def robust_pca(data, alpha: float) -> MinimaxProblem:
     """Robust PCA as a saddle problem on Sphere(n) x SPD(n).
 
     The leading-direction player minimizes and the matrix player
@@ -363,16 +364,15 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
     already caches (``Spd.point`` and ``Spd.exp`` validate with it), so
     the duality-gap estimate gets it without a new eigendecomposition.
 
+    The sphere factor's declared diameter is the ``Sphere`` default pi/4,
+    and the SPD factor's is twice the data spread around its first
+    element, plus one.
+
     Parameters
     ----------
     data : sequence of SPD arrays, all n x n, length k >= 1.
     alpha : float
         Penalty weight, must be positive.
-    sphere_diameter : float
-        Declared diameter of the sphere factor (below pi/2).
-    spd_diameter : float, optional
-        Declared diameter of the SPD factor; defaults to twice the data
-        spread around its first element, plus one.
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
@@ -385,11 +385,9 @@ def robust_pca(data, alpha: float, sphere_diameter: float = math.pi / 4.0, spd_d
         raise ParameterError("all data matrices must share the same square shape")
     probe = Spd(n, 1.0)
     pts = [probe.point(a) for a in mats]
-    if spd_diameter is None:
-        spread = max(probe.distance(pts[0], p) for p in pts) if k > 1 else 1.0
-        spd_diameter = 2.0 * spread + 1.0
-    mx = Sphere(n, sphere_diameter)
-    my = Spd(n, float(spd_diameter))
+    spread = max(probe.distance(pts[0], p) for p in pts) if k > 1 else 1.0
+    mx = Sphere(n)
+    my = Spd(n, 2.0 * spread + 1.0)
     stack = np.stack([p.value for p in pts])
 
     def _penalty(m_pt: Point) -> tuple[np.ndarray, float]:
@@ -443,7 +441,6 @@ def augmented_lagrangian(
     grad_g: Callable[[Point], Tangent],
     constraints: Sequence[tuple[Callable[[Point], float], Callable[[Point], Tangent]]],
     alpha: float,
-    multiplier_diameter: float = 10.0,
 ) -> MinimaxProblem:
     """Saddle formulation of a constrained geodesically convex program.
 
@@ -453,7 +450,8 @@ def augmented_lagrangian(
 
     is minimized over the manifold and maximized over the Euclidean
     multiplier block. ``alpha >= 0`` is the proximal damping; with
-    ``alpha = 0`` the classical Lagrangian is recovered.
+    ``alpha = 0`` the classical Lagrangian is recovered. The multiplier
+    block has the ``Euclidean`` default diameter 10.
 
     Parameters
     ----------
@@ -465,14 +463,12 @@ def augmented_lagrangian(
         Scalar constraint functions with their Riemannian gradients.
     alpha : float
         Damping weight, nonnegative.
-    multiplier_diameter : float
-        Declared diameter of the multiplier block.
     """
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ParameterError(f"alpha must be nonnegative and finite, got {alpha!r}")
     if len(constraints) < 1:
         raise ParameterError("need at least one constraint")
-    my = Euclidean(len(constraints), multiplier_diameter)
+    my = Euclidean(len(constraints))
 
     def h_vec(x: Point) -> np.ndarray:
         return np.array([float(h(x)) for h, _ in constraints])

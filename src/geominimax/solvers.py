@@ -10,11 +10,11 @@ point, the update behaves exactly like its Euclidean counterpart:
     y+ = Exp_z(+eta grad_y f(w, z) + Log_z(y))
 
 which satisfies ``Log_w(x+) = Log_w(x) - eta grad_x f(w, z)``. The
-steppers only step: the geodesic running mean of the extrapolated pairs,
-which the ergodic rate statement is about, is folded by :func:`run` when
-``RunDiagnostics.keep_averages`` asks for it. The descent-ascent baseline
-(RGDA) takes simultaneous gradient steps and is divergent on
-bilinear-type couplings.
+first stage alone is the descent-ascent baseline (RGDA), which is
+divergent on bilinear-type couplings. The steppers only step: the
+geodesic running mean of the extrapolated pairs, which the ergodic rate
+statement is about, is folded by :func:`run` under
+``run(..., keep_averages=True)``.
 """
 
 from __future__ import annotations
@@ -141,6 +141,15 @@ def _pair_grads(problem: MinimaxProblem, pair: Point) -> tuple[Tangent, Tangent]
     return problem.grad_x(x, y), problem.grad_y(x, y)
 
 
+def _extrapolate(problem: MinimaxProblem, state: SolverState, grads) -> tuple[Point, Point, Point, Point]:
+    """``(x, y, w, z)``: the current pair and its simultaneous gradient step
+    ``w = Exp_x(-eta grad_x)``, ``z = Exp_y(+eta grad_y)``, from ``grads`` if given."""
+    x, y = problem.domain.split(state.current)
+    gx, gy = grads if grads is not None else _pair_grads(problem, state.current)
+    eta = state.eta
+    return x, y, problem.manifold_x.exp(x, (-eta) * gx), problem.manifold_y.exp(y, eta * gy)
+
+
 def rceg_step(
     problem: MinimaxProblem,
     state: SolverState,
@@ -155,10 +164,7 @@ def rceg_step(
     prod = problem.domain
     mx, my = problem.manifold_x, problem.manifold_y
     eta = state.eta
-    x, y = prod.split(state.current)
-    gx, gy = grads if grads is not None else _pair_grads(problem, state.current)
-    w = mx.exp(x, (-eta) * gx)
-    z = my.exp(y, eta * gy)
+    x, y, w, z = _extrapolate(problem, state, grads)
     gxw = problem.grad_x(w, z)
     gyz = problem.grad_y(w, z)
     x1 = mx.exp(w, (-eta) * gxw + mx.log(w, x))
@@ -171,16 +177,10 @@ def rgda_step(
     state: SolverState,
     grads: Optional[tuple[Tangent, Tangent]] = None,
 ) -> SolverState:
-    """One simultaneous gradient descent-ascent step (the baseline)."""
-    prod = problem.domain
-    mx, my = problem.manifold_x, problem.manifold_y
-    eta = state.eta
-    x, y = prod.split(state.current)
-    gx, gy = grads if grads is not None else _pair_grads(problem, state.current)
-    x1 = mx.exp(x, (-eta) * gx)
-    y1 = my.exp(y, eta * gy)
-    current = prod.join(x1, y1)
-    return SolverState(t=state.t + 1, current=current, extrapolated=current, eta=eta)
+    """One simultaneous gradient descent-ascent step: RCEG's extrapolation alone."""
+    _, _, w, z = _extrapolate(problem, state, grads)
+    current = problem.domain.join(w, z)
+    return SolverState(t=state.t + 1, current=current, extrapolated=current, eta=state.eta)
 
 
 _STEPPERS: dict[str, Callable] = {"rceg": rceg_step, "rgda": rgda_step}
@@ -316,12 +316,11 @@ class GapEstimate:
 
     ``estimate`` is ``max_y f(x^, y) - min_x f(x, y^)`` as achieved by
     the slice solutions (floored at 0), or ``None`` when one of them
-    failed its check (``available`` False, reason in ``diagnostic``).
-    The reference-based lower bound is :func:`certified_gap`.
+    failed its check, with the reason in ``diagnostic``. The
+    reference-based lower bound is :func:`certified_gap`.
     """
 
     estimate: Optional[float]
-    available: bool
     diagnostic: str = ""
 
 
@@ -375,7 +374,7 @@ def estimate_duality_gap(problem: MinimaxProblem, at: Point, max_iters: int = 10
             _GAP_TOL,
         )
         if my.norm(problem.grad_y(x_hat, y_best)) > _GAP_TOL:
-            return GapEstimate(None, False, "inner ascent did not reach tolerance (possibly unbounded slice)")
+            return GapEstimate(None, "inner ascent did not reach tolerance (possibly unbounded slice)")
         if problem.best_response_x is not None:
             x_best = problem.best_response_x(y_hat)
         else:
@@ -389,7 +388,7 @@ def estimate_duality_gap(problem: MinimaxProblem, at: Point, max_iters: int = 10
                 _GAP_TOL,
             )
         if mx.norm(problem.grad_x(x_best, y_hat)) > _GAP_TOL:
-            return GapEstimate(None, False, "inner descent did not reach tolerance (possibly unbounded slice)")
+            return GapEstimate(None, "inner descent did not reach tolerance (possibly unbounded slice)")
         low = float(problem.value(x_best, y_hat))
         if problem.best_response_x is not None:
             # A critical point that is not the minimizer (on robust PCA,
@@ -398,40 +397,22 @@ def estimate_duality_gap(problem: MinimaxProblem, at: Point, max_iters: int = 10
             here = float(problem.value(x_hat, y_hat))
             if low > here + _BEST_RESPONSE_SLACK * max(1.0, abs(here)):
                 return GapEstimate(
-                    None, False,
+                    None,
                     f"best_response_x is not a minimizer: its value {low:.17g} exceeds {here:.17g} at x^",
                 )
     except GeominimaxError as exc:
-        return GapEstimate(None, False, f"inner solver failed: {exc}")
+        return GapEstimate(None, f"inner solver failed: {exc}")
     est = max(0.0, float(problem.value(x_hat, y_best)) - low)
-    return GapEstimate(est, True, "")
-
-
-@dataclass
-class RunDiagnostics:
-    """Recording configuration for :func:`run`.
-
-    ``record_every`` is the row cadence, ``gap_every`` the duality-gap
-    cadence (``None`` disables gap estimation), and ``keep_averages``
-    folds the geodesic running mean of the extrapolated pairs after every
-    step into ``RunResult.averages``; nothing else computes that average.
-    Each gap estimate gives its inner solvers ``max(10000, 10 * iters)``
-    steps, which a cadence point on an unbounded slice spends in full
-    before it reports the estimate unavailable. Distances are measured to
-    the problem's known saddle.
-    """
-
-    record_every: int = 1
-    gap_every: Optional[int] = None
-    keep_averages: bool = False
+    return GapEstimate(est)
 
 
 @dataclass
 class RunResult:
     """Trace and final state of a solver run.
 
-    ``max_dist_from_start`` is the largest distance of the current
-    iterate from its start seen in the run, per factor ``(x, y)``.
+    ``state.eta`` is the step size the run used. ``max_dist_from_start``
+    is the largest distance of the current iterate from its start seen in
+    the run, per factor ``(x, y)``.
     ``gap_unavailable`` counts the cadence points whose duality-gap
     estimate was not available, and ``gap_diagnostic`` is the reason
     :func:`estimate_duality_gap` gave at the first of them.
@@ -441,7 +422,6 @@ class RunResult:
     state: SolverState
     status: str  # "ok" or "diverged"
     diagnostic: str
-    eta: float
     averages: list[tuple[int, Point]] = field(default_factory=list)
     max_dist_from_start: tuple[float, float] = (0.0, 0.0)
     gap_unavailable: int = 0
@@ -459,34 +439,39 @@ def run(
     iters: int,
     start: tuple[Point, Point],
     eta="auto",
-    diagnostics: Optional[RunDiagnostics] = None,
+    record_every: int = 1,
+    gap_every: Optional[int] = None,
+    keep_averages: bool = False,
 ) -> RunResult:
     """Run a saddle solver for ``iters`` steps with diagnostics.
 
-    Records a row for the initial point and then at the configured
-    cadence (always including the final iteration). Gradient norms in a
-    row are evaluated at that row's iterate; the evaluation is shared
-    with the following step. With ``keep_averages`` the geodesic running
-    mean of the extrapolated pairs is folded after each step. Divergence
-    (non-finite values, exp-guard violations, an iterate that leaves the
-    domain, a failure of the average, or the current pair drifting more
-    than 1000 times the initial distance scale from the start) terminates
-    the trace early with status ``"diverged"``.
+    Records a row for the initial point, every ``record_every`` steps and
+    the final iterate. A row's gradient evaluation is shared with the
+    following step, and its distance is to the problem's known saddle.
+    Every ``gap_every`` steps (never when ``None``) the row carries
+    :func:`estimate_duality_gap`, whose inner solvers get up to
+    ``max(10000, 10 * iters)`` steps, all spent on an unbounded slice.
+    ``keep_averages`` folds the geodesic running mean of the extrapolated
+    pairs into ``RunResult.averages`` after each step.
+
+    Divergence (non-finite values, exp-guard violations, an iterate that
+    leaves the domain, a failure of the average, or the current pair
+    drifting more than 1000 times the initial distance scale from the
+    start) ends the run as ``"diverged"``, with a best-effort row at the
+    iterate where it stopped, or, when the final row fails, with the
+    diagnostic ``"final diagnostics failed: ..."``.
     """
     if algo not in _STEPPERS:
         raise ParameterError(f"unknown algorithm {algo!r}, expected one of {sorted(_STEPPERS)}")
     if iters < 1:
         raise ParameterError(f"iteration budget must be >= 1, got {iters}")
-    if diagnostics is None:
-        diagnostics = RunDiagnostics()
-    if diagnostics.record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {diagnostics.record_every}")
-    if diagnostics.gap_every is not None and diagnostics.gap_every < 1:
-        raise ParameterError(f"gap_every must be >= 1, got {diagnostics.gap_every}")
+    if record_every < 1:
+        raise ParameterError(f"record_every must be >= 1, got {record_every}")
+    if gap_every is not None and gap_every < 1:
+        raise ParameterError(f"gap_every must be >= 1, got {gap_every}")
     step = _STEPPERS[algo]
-    eta_val = resolve_step_size(problem, eta)
     prod = problem.domain
-    state = make_state(problem, start[0], start[1], eta_val)
+    state = make_state(problem, start[0], start[1], resolve_step_size(problem, eta))
     mx, my = problem.manifold_x, problem.manifold_y
     ref_pair = prod.join(*problem.known_saddle) if problem.known_saddle is not None else None
     scale = max(1.0, prod.distance(state.current, ref_pair)) if ref_pair is not None else 1.0
@@ -499,43 +484,41 @@ def run(
     gap_misses: list[str] = []
     t_start = time.perf_counter()
 
-    def should_record(t: int) -> bool:
-        return t % diagnostics.record_every == 0 or t == iters
-
     # Inner gap solvers get ten times the outer budget (with a floor) so
     # their tolerance is reachable whenever the slices are well posed.
     gap_budget = max(10000, 10 * iters)
 
-    def make_record(t: int, pair: Point, grads: tuple[Tangent, Tangent]) -> IterationRecord:
-        x, y = prod.split(pair)
+    def make_record(s: SolverState, grads: tuple[Tangent, Tangent]) -> IterationRecord:
+        x, y = prod.split(s.current)
         gap_val = None
-        if diagnostics.gap_every is not None and t % diagnostics.gap_every == 0 and t > 0:
-            est = estimate_duality_gap(problem, pair, gap_budget)
-            if est.available:
-                gap_val = est.estimate
-            else:
+        if gap_every is not None and s.t % gap_every == 0 and s.t > 0:
+            est = estimate_duality_gap(problem, s.current, gap_budget)
+            if est.estimate is None:
                 gap_misses.append(est.diagnostic)
+            gap_val = est.estimate
         return IterationRecord(
-            t=t,
+            t=s.t,
             value=float(problem.value(x, y)),
             grad_norm_x=mx.norm(grads[0]),
             grad_norm_y=my.norm(grads[1]),
-            dist_to_ref=prod.distance(pair, ref_pair) if ref_pair is not None else None,
+            dist_to_ref=prod.distance(s.current, ref_pair) if ref_pair is not None else None,
             gap_estimate=gap_val,
             wall_ms=(time.perf_counter() - t_start) * 1000.0,
         )
 
     average: Optional[Point] = None
     far_x = far_y = 0.0
-    for t in range(iters):
+    for t in range(iters + 1):
         try:
             grads = _pair_grads(problem, state.current)
-            if should_record(t):
-                records.append(make_record(t, state.current, grads))
+            if t % record_every == 0 or t == iters:
+                records.append(make_record(state, grads))
+            if t == iters:
+                break
             state = step(problem, state, grads)
             if not np.all(np.isfinite(state.current.value)):
                 raise NumericalError("iterate contains non-finite values")
-            if diagnostics.keep_averages:
+            if keep_averages:
                 average = geodesic_average_update(prod, average, state.extrapolated, t)
                 averages.append((state.t, average))
             # The product distance from the start, as Product.distance
@@ -550,30 +533,20 @@ def run(
                 )
         except (NumericalError, DomainError) as exc:
             status = "diverged"
-            diagnostic = str(exc)
+            diagnostic = str(exc) if t < iters else f"final diagnostics failed: {exc}"
+            if t < iters and records and records[-1].t != state.t:
+                # best-effort terminal row so the trace shows where the run stopped
+                try:
+                    records.append(make_record(state, _pair_grads(problem, state.current)))
+                except GeominimaxError:
+                    pass
             break
-
-    if status == "ok":
-        try:
-            grads = _pair_grads(problem, state.current)
-            records.append(make_record(state.t, state.current, grads))
-        except (NumericalError, DomainError) as exc:
-            status = "diverged"
-            diagnostic = f"final diagnostics failed: {exc}"
-    elif records and records[-1].t != state.t:
-        # best-effort terminal row so the trace shows where the run stopped
-        try:
-            grads = _pair_grads(problem, state.current)
-            records.append(make_record(state.t, state.current, grads))
-        except GeominimaxError:
-            pass
 
     return RunResult(
         records=records,
         state=state,
         status=status,
         diagnostic=diagnostic,
-        eta=eta_val,
         averages=averages,
         max_dist_from_start=(far_x, far_y),
         gap_unavailable=len(gap_misses),

@@ -18,7 +18,6 @@ from geominimax import euclidean_quadratic
 from geominimax.checks import check_gradients, check_manifolds, check_triangles
 from geominimax.harness import build_problem, parse_config_text, run_experiment
 from geominimax.solvers import (
-    RunDiagnostics,
     certified_gap,
     make_state,
     rceg_step,
@@ -174,15 +173,15 @@ class TestAcceptance:
                 500,
                 (x0, y0),
                 eta="auto",
-                diagnostics=RunDiagnostics(
-                    record_every=500, gap_every=None, keep_averages=True
-                ),
+                record_every=500,
+                gap_every=None,
+                keep_averages=True,
             )
             assert result.status == "ok", result.diagnostic
             for t, pair in result.averages:
                 ax, ay = problem.domain.split(pair)
                 gap = certified_gap(problem, ax, ay)
-                bound = d2 / (result.eta * t)
+                bound = d2 / (result.state.eta * t)
                 worst_margin = max(worst_margin, gap - bound)
                 assert gap <= bound, (
                     f"{cfg.problem}: certified gap {gap:.3e} exceeds bound "

@@ -435,6 +435,23 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "single")]) == 0
         assert capsys.readouterr().out.splitlines() == [f"seed=20 status=ok out={tmp_path / 'single'}"]
 
+    def test_meta_echoes_the_directory_it_was_written_to(self, tmp_path):
+        """``--out`` overrides the config's ``out``, and meta.json records the
+        override; a replicate records its own seed directory."""
+        cfg = self._write_cfg(
+            tmp_path,
+            f"problem = euclidean_quadratic\nn = 3\nalgo = rceg\niters = 4\nseed = 20\ngap_every = off\n"
+            f"out = {tmp_path}/from-config\n",
+        )
+        single, multi = tmp_path / "single", tmp_path / "multi"
+        assert main(["run", "--config", cfg, "--out", str(single)]) == 0
+        assert json.loads((single / "meta.json").read_text())["config"]["out"] == str(single)
+        assert main(["run", "--config", cfg, "--out", str(multi), "--jobs", "2"]) == 0
+        for seed in (20, 21):
+            meta = json.loads((multi / f"seed-{seed}" / "meta.json").read_text())
+            assert meta["config"]["out"] == str(multi / f"seed-{seed}")
+        assert not (tmp_path / "from-config").exists()
+
     def test_jobs_pool_capped_at_usable_cores(self, tmp_path, monkeypatch):
         """More replicates than cores still all run, on at most one worker per core."""
         import concurrent.futures

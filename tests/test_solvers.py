@@ -13,7 +13,6 @@ from geominimax import (
     Spd,
     Sphere,
     StepTooLongError,
-    RunDiagnostics,
     certified_gap,
     estimate_duality_gap,
     euclidean_quadratic,
@@ -497,7 +496,7 @@ class TestDualityGap:
         p = scalar_bilinear()
         at = p.domain.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
         est = estimate_duality_gap(p, at)
-        assert est.available
+        assert est.estimate is not None
         assert est.estimate == pytest.approx(0.0, abs=1e-12)
         assert certified_gap(p, *p.domain.split(at)) == pytest.approx(0.0, abs=1e-12)
 
@@ -507,7 +506,6 @@ class TestDualityGap:
         p = scalar_bilinear()
         at = p.domain.join(p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
         est = estimate_duality_gap(p, at, max_iters=200)
-        assert not est.available
         assert est.estimate is None
         assert est.diagnostic != ""
         assert certified_gap(p, *p.domain.split(at)) is not None  # closed-form bound still exists
@@ -525,7 +523,7 @@ class TestDualityGap:
         calls = count_inner_solves(monkeypatch)
         est = estimate_duality_gap(p, p.domain.join(x, y))
         assert calls == [p.manifold_y, p.manifold_x]
-        assert est.available
+        assert est.estimate is not None
         assert est.estimate == pytest.approx(expected, rel=1e-6, abs=1e-9)
         cert = certified_gap(p, x, y)
         assert cert == pytest.approx(expected, rel=1e-6, abs=1e-9)
@@ -548,7 +546,7 @@ class TestDualityGap:
         calls.clear()
         ref = estimate_duality_gap(replace(p, best_response_x=None), at)
         assert [type(m) for m in calls] == [Spd, Sphere]
-        assert est.available and ref.available
+        assert est.estimate is not None and ref.estimate is not None
         assert est.estimate == pytest.approx(ref.estimate, rel=1e-9)
         assert est.estimate >= ref.estimate - 1e-12  # the exact minimum is never above the descent's
 
@@ -561,7 +559,7 @@ class TestDualityGap:
         y = p.domain.split(at)[1]
         assert mx.norm(p.grad_x(wrong.best_response_x(y), y)) <= 1e-8
         est = estimate_duality_gap(wrong, at)
-        assert not est.available and est.estimate is None
+        assert est.estimate is None
         assert "best_response_x is not a minimizer" in est.diagnostic
 
     def test_estimate_is_floored_at_zero(self):
@@ -569,7 +567,7 @@ class TestDualityGap:
         p = decoupled_spd(2, rng)
         a, b = p.known_saddle
         est = estimate_duality_gap(p, p.domain.join(a, b))
-        assert est.available
+        assert est.estimate is not None
         assert est.estimate >= 0.0
 
     def test_certified_gap_requires_known_saddle(self):
@@ -586,7 +584,6 @@ class TestDualityGap:
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
         est = estimate_duality_gap(p, p.domain.join(x, y), max_iters=1)
-        assert not est.available
         assert est.estimate is None
 
 
@@ -596,7 +593,7 @@ class TestRun:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=1, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(keep_averages=True))
+        res = run(p, "rceg", iters=1, start=(x, y), eta=0.2, keep_averages=True)
         [(t, avg)] = res.averages
         assert t == 1 and avg is res.state.extrapolated
         assert res.status == "ok"
@@ -609,7 +606,7 @@ class TestRun:
             iters=10,
             start=(p.manifold_x.point([0.3]), p.manifold_y.point([0.2])),
             eta=0.4,
-            diagnostics=RunDiagnostics(record_every=3),
+            record_every=3,
         )
         assert [r.t for r in res.records] == [0, 3, 6, 9, 10]
         assert all(np.isfinite(r.value) for r in res.records)
@@ -653,7 +650,7 @@ class TestRun:
         b = rng.standard_normal((3, 3))
         p = euclidean_quadratic(b)
         res = run(p, "rceg", iters=1, start=(p.manifold_x.point(np.zeros(3)), p.manifold_y.point(np.zeros(3))))
-        assert res.eta == pytest.approx(1.0 / (2.0 * p.smoothness()), rel=1e-12)
+        assert res.state.eta == pytest.approx(1.0 / (2.0 * p.smoothness()), rel=1e-12)
         assert resolve_step_size(p, "auto") == pytest.approx(1.0 / (2.0 * p.smoothness()), rel=1e-12)
 
     def test_determinism_excluding_wall_time(self):
@@ -661,8 +658,8 @@ class TestRun:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        r1 = run(p, "rceg", iters=20, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(gap_every=10))
-        r2 = run(p, "rceg", iters=20, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(gap_every=10))
+        r1 = run(p, "rceg", iters=20, start=(x, y), eta=0.2, gap_every=10)
+        r2 = run(p, "rceg", iters=20, start=(x, y), eta=0.2, gap_every=10)
         assert len(r1.records) == len(r2.records)
         for a, b in zip(r1.records, r2.records):
             assert a.t == b.t
@@ -677,7 +674,7 @@ class TestRun:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=10, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(gap_every=5))
+        res = run(p, "rceg", iters=10, start=(x, y), eta=0.2, gap_every=5)
         by_t = {r.t: r for r in res.records}
         assert by_t[5].gap_estimate is not None and by_t[5].gap_estimate >= 0.0
         assert by_t[10].gap_estimate is not None
@@ -690,7 +687,7 @@ class TestRun:
         cadence point misses its estimate, and the first reason is kept."""
         p = scalar_bilinear()
         start = (p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
-        res = run(p, "rceg", iters=20, start=start, eta=0.1, diagnostics=RunDiagnostics(gap_every=5))
+        res = run(p, "rceg", iters=20, start=start, eta=0.1, gap_every=5)
         assert all(r.gap_estimate is None for r in res.records)
         assert res.gap_unavailable == 4
         assert res.gap_diagnostic == "inner ascent did not reach tolerance (possibly unbounded slice)"
@@ -699,7 +696,7 @@ class TestRun:
         cfg = ExperimentConfig(problem="robust_pca", n=4, k=3, alpha=2.0, algo="rceg", iters=20, gap_every=10)
         p, x0, y0 = build_problem(cfg)
         calls = count_inner_solves(monkeypatch)
-        res = run(p, "rceg", iters=20, start=(x0, y0), diagnostics=RunDiagnostics(gap_every=10))
+        res = run(p, "rceg", iters=20, start=(x0, y0), gap_every=10)
         assert [type(m) for m in calls] == [Spd, Spd]
         assert res.gap_unavailable == 0
         assert all(r.gap_estimate is not None for r in res.records if r.t in (10, 20))
@@ -709,7 +706,7 @@ class TestRun:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=8, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(keep_averages=True))
+        res = run(p, "rceg", iters=8, start=(x, y), eta=0.2, keep_averages=True)
         assert [t for t, _ in res.averages] == list(range(1, 9))
         # the same fold by hand over the same steps
         s, avg = make_state(p, x, y, 0.2), None
@@ -724,7 +721,7 @@ class TestRun:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=4, start=(x, y), eta=0.2, diagnostics=RunDiagnostics(keep_averages=True))
+        res = run(p, "rceg", iters=4, start=(x, y), eta=0.2, keep_averages=True)
         xb, yb = p.domain.split(res.averages[-1][1])
         assert xb.manifold is p.manifold_x
         assert yb.manifold is p.manifold_y
@@ -753,6 +750,47 @@ class TestRun:
         assert "positive definite" in res.diagnostic
         assert res.state.t < 200
 
+    def test_drift_divergence_ends_with_a_row_at_the_stopping_iterate(self):
+        """RGDA on x * y drifts past the divergence threshold after its 62nd
+        step; the trace ends with a best-effort row there, off the cadence."""
+        p = scalar_bilinear()
+        start = (p.manifold_x.point([1.0]), p.manifold_y.point([0.5]))
+        for record_every, last_ts in ((1, [60, 61, 62]), (7, [49, 56, 62])):
+            res = run(p, "rgda", iters=2000, start=start, eta=0.5, record_every=record_every)
+            assert res.status == "diverged" and "drifted" in res.diagnostic
+            assert res.state.t == 62
+            assert [r.t for r in res.records[-3:]] == last_ts
+
+    def test_step_failure_ends_with_a_row_at_the_stopping_iterate(self):
+        """The spd_bilinear RGDA step fails at t = 88; the state stays at the
+        last good iterate, and the trace ends with a row there."""
+        cfg = ExperimentConfig(problem="spd_bilinear", n=10, mu=0.8, l=1.25, algo="rgda", iters=200, eta=0.2)
+        p, x, y = build_problem(cfg)
+        res = run(p, "rgda", iters=200, start=(x, y), eta=0.2, record_every=7)
+        assert res.status == "diverged"
+        assert res.state.t == 88
+        assert [r.t for r in res.records[-3:]] == [77, 84, 88]
+
+    def test_failed_final_row_is_a_status_without_a_retry(self):
+        """When only the final row's gradient fails, the run is diverged with
+        the reason prefixed, and no second attempt at that row is made."""
+        p = scalar_bilinear()
+        grad_x, calls = p.grad_x, []
+
+        def flaky_grad_x(x, y):
+            calls.append(1)
+            if len(calls) == 7:
+                raise NumericalError("boom")
+            return grad_x(x, y)
+
+        p.grad_x = flaky_grad_x
+        res = run(p, "rceg", iters=3, start=(p.manifold_x.point([0.3]), p.manifold_y.point([0.2])), eta=0.4)
+        assert res.status == "diverged"
+        assert res.diagnostic == "final diagnostics failed: boom"
+        assert res.state.t == 3
+        assert [r.t for r in res.records] == [0, 1, 2]
+        assert len(calls) == 7
+
     def test_max_dist_from_start_is_the_largest_factor_distance(self):
         """Hand-stepped RCEG: the run keeps each factor's largest distance
         of the current iterate from the start, bit for bit."""
@@ -780,6 +818,6 @@ class TestRun:
         with pytest.raises(ParameterError):
             run(p, "rceg", iters=5, start=start, eta=-0.1)
         with pytest.raises(ParameterError):
-            run(p, "rceg", iters=5, start=start, eta=0.1, diagnostics=RunDiagnostics(record_every=0))
+            run(p, "rceg", iters=5, start=start, eta=0.1, record_every=0)
         with pytest.raises(ParameterError):
-            run(p, "rceg", iters=5, start=start, eta=0.1, diagnostics=RunDiagnostics(gap_every=0))
+            run(p, "rceg", iters=5, start=start, eta=0.1, gap_every=0)
