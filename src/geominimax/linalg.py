@@ -59,7 +59,7 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ParameterError(f"{name} must be a square matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} contains non-finite entries")
     return a
 
@@ -76,6 +76,13 @@ def sym_eig(a) -> SpectralDecomposition:
     sign-normalized so that its first component of magnitude above 1e-12
     is positive. Ties between equal eigenvalues are therefore resolved
     identically on every call with the same input.
+
+    ``numpy.linalg.eigh`` (looked up at call time) returns the eigenvalues
+    in ascending order, so the descending order is its order reversed; no
+    sort runs. The eigenvalues are returned contiguous, so a reduction
+    over them sums in descending order. A single matrix's ``q`` is
+    column-major and a stack's ``q`` row-major: the rounding of matrix
+    products built on ``q`` depends on its layout, so both are kept fixed.
 
     A stack ``(..., n, n)`` is decomposed by one ``numpy.linalg.eigh``
     call, and each member's result is bitwise equal to the result of a
@@ -109,20 +116,16 @@ def sym_eig(a) -> SpectralDecomposition:
             "symmetric eigensolver failed to converge for a matrix with Frobenius norm "
             f"{np.linalg.norm(a):.6g}"
         ) from exc
-    order = np.argsort(lam, axis=-1)[..., ::-1]
+    q = q[..., ::-1]
     # Flip each column so its first sufficiently-nonzero entry is positive.
+    first = (np.abs(q) > 1e-12).argmax(axis=-2)
     if a.ndim == 2:  # plain indexing: the single matrix is the hot path
-        lam = lam[order]
-        q = q[:, order]
-        first = np.argmax(np.abs(q) > 1e-12, axis=0)
-        signs = np.sign(q[first, np.arange(q.shape[1])])
+        lead = q[first, np.arange(q.shape[1])]
     else:
-        lam = np.take_along_axis(lam, order, axis=-1)
-        q = np.take_along_axis(q, order[..., None, :], axis=-1)
-        first = np.argmax(np.abs(q) > 1e-12, axis=-2)
-        signs = np.sign(np.take_along_axis(q, first[..., None, :], axis=-2))
-    signs[signs == 0] = 1.0
-    return SpectralDecomposition(q=q * signs, eigenvalues=lam)
+        lead = np.take_along_axis(q, first[..., None, :], axis=-2)
+    signs = np.where(lead < 0.0, -1.0, 1.0)
+    q = np.multiply(q, signs, order="F" if a.ndim == 2 else "C")
+    return SpectralDecomposition(q=q, eigenvalues=lam[..., ::-1].copy())
 
 
 def spectral(dec: SpectralDecomposition, f=None, inverse: bool = False) -> np.ndarray:

@@ -11,8 +11,9 @@ producing nonsense.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,18 +29,41 @@ TANGENT_TOL = 1e-9
 POINT_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
 class Point:
-    """A point on a manifold. The wrapped array is read-only."""
+    """A point on a manifold. The wrapped array is read-only.
 
-    manifold: "Manifold"
-    value: np.ndarray
-    cache: dict = field(default_factory=dict, repr=False)
+    ``Point(manifold, value)`` copies ``value``, so a caller that changes
+    its array afterwards does not change the point. ``cache`` holds what
+    operations derive from the point (an eigendecomposition, the
+    component points of a product point). Attributes cannot be reassigned.
+    """
 
-    def __post_init__(self):
-        v = np.array(self.value, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
+    __slots__ = ("manifold", "value", "cache")
+
+    def __new__(cls, manifold: "Manifold", value):
+        return Point._wrap(manifold, np.array(value, dtype=float))
+
+    @staticmethod
+    def _wrap(manifold: "Manifold", value: np.ndarray) -> "Point":
+        """The point of an array the package has just computed: made
+        read-only in place instead of copied. ``value`` must be a float
+        array that nothing else holds writable, in the layout a copy
+        would give (contiguous)."""
+        p = _new(Point)
+        value.setflags(write=False)
+        _point_manifold(p, manifold)
+        _point_value(p, value)
+        _point_cache(p, {})
+        return p
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return Point, (self.manifold, self.value)
 
     def __eq__(self, other):
         return (
@@ -52,22 +76,34 @@ class Point:
         return f"Point({self.manifold.name}, shape={self.value.shape})"
 
 
-@dataclass(frozen=True, eq=False)
 class Tangent:
     """A tangent vector attached to a base point.
 
-    Supports the linear operations needed by the solvers: addition and
-    subtraction of tangents with the same base, scalar multiplication,
-    and negation.
+    ``Tangent(base, value)`` copies ``value`` and makes it read-only, as
+    :class:`Point` does. Supports the linear operations needed by the
+    solvers: addition and subtraction of tangents with the same base,
+    scalar multiplication, and negation.
     """
 
-    base: Point
-    value: np.ndarray
+    __slots__ = ("base", "value")
 
-    def __post_init__(self):
-        v = np.array(self.value, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
+    def __new__(cls, base: Point, value):
+        return Tangent._wrap(base, np.array(value, dtype=float))
+
+    @staticmethod
+    def _wrap(base: Point, value: np.ndarray) -> "Tangent":
+        """The tangent of an array the package has just computed, under the
+        conditions of :meth:`Point._wrap`."""
+        v = _new(Tangent)
+        value.setflags(write=False)
+        _tangent_base(v, base)
+        _tangent_value(v, value)
+        return v
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return Tangent, (self.base, self.value)
 
     @property
     def manifold(self) -> "Manifold":
@@ -84,25 +120,31 @@ class Tangent:
 
     def __add__(self, other: "Tangent") -> "Tangent":
         self._check_same_base(other)
-        return Tangent(self.base, self.value + other.value)
+        return Tangent._wrap(self.base, self.value + other.value)
 
     def __sub__(self, other: "Tangent") -> "Tangent":
         self._check_same_base(other)
-        return Tangent(self.base, self.value - other.value)
+        return Tangent._wrap(self.base, self.value - other.value)
 
     def __mul__(self, scalar) -> "Tangent":
-        return Tangent(self.base, self.value * float(scalar))
+        return Tangent._wrap(self.base, self.value * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Tangent":
-        return Tangent(self.base, -self.value)
+        return Tangent._wrap(self.base, -self.value)
 
     def norm(self) -> float:
         return self.manifold.norm(self)
 
     def __repr__(self):
         return f"Tangent({self.manifold.name}, shape={self.value.shape})"
+
+
+# The slots are set through their descriptors, past the read-only __setattr__.
+_new = object.__new__
+_point_manifold, _point_value, _point_cache = (Point.manifold.__set__, Point.value.__set__, Point.cache.__set__)
+_tangent_base, _tangent_value = Tangent.base.__set__, Tangent.value.__set__
 
 
 class Manifold(ABC):
@@ -177,10 +219,6 @@ class Manifold(ABC):
             raise ContractError(f"point array for {self.name} contains non-finite entries")
         return Point(self, self._validate_point_array(arr))
 
-    def _point_unchecked(self, value: np.ndarray) -> Point:
-        """Wrap an array produced internally, skipping membership validation."""
-        return Point(self, value)
-
     def tangent(self, x: Point, value) -> Tangent:
         """Wrap an array as a tangent at ``x``, projecting and checking membership.
 
@@ -201,7 +239,7 @@ class Manifold(ABC):
         return Tangent(x, proj)
 
     def zero_tangent(self, x: Point) -> Tangent:
-        return Tangent(x, np.zeros_like(x.value))
+        return Tangent._wrap(x, np.zeros_like(x.value))
 
     def _check_point(self, x: Point, arg: str = "point"):
         if not isinstance(x, Point) or x.manifold is not self:
@@ -220,7 +258,7 @@ class Manifold(ABC):
         return float(self._inner_array(u.base, u.value, v.value))
 
     def norm(self, v: Tangent) -> float:
-        return float(np.sqrt(max(0.0, self._inner_array(v.base, v.value, v.value))))
+        return math.sqrt(max(0.0, self._inner_array(v.base, v.value, v.value)))
 
     def tangent_basis(self, x: Point) -> Sequence[Tangent]:
         """Orthonormal basis of the tangent space at ``x``.
@@ -249,7 +287,7 @@ class Manifold(ABC):
             raise NumericalError(
                 f"Gram-Schmidt produced {len(basis)} of {self.dim} basis vectors on {self.name}"
             )
-        return [Tangent(x, b) for b in basis]
+        return [Tangent._wrap(x, b) for b in basis]
 
     def random_point(
         self,
@@ -259,7 +297,7 @@ class Manifold(ABC):
     ) -> Point:
         """Random point, either globally or within ``radius`` of ``near``."""
         if near is None:
-            return self._point_unchecked(self._random_point_array(rng))
+            return Point._wrap(self, self._random_point_array(rng))
         v = self.random_tangent(near, rng, norm=float(rng.uniform(0.0, radius)))
         return self.exp(near, v)
 
@@ -279,7 +317,7 @@ class Manifold(ABC):
         out = np.zeros_like(x.value)
         for c, e in zip(coeff, basis):
             out = out + c * e.value
-        return Tangent(x, out)
+        return Tangent._wrap(x, out)
 
     def __repr__(self):
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ParameterError
@@ -51,27 +53,29 @@ class Euclidean(Manifold):
         return np.asarray(a, dtype=float).reshape(self.n)
 
     def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(u, v))
+        return float(u.dot(v))
 
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
-        return self._point_unchecked(x.value + v.value)
+        return Point._wrap(self, x.value + v.value)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)
         self._check_point(y)
-        return Tangent(x, y.value - x.value)
+        return Tangent._wrap(x, y.value - x.value)
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)
-        return Tangent(y, v.value)
+        return Tangent._wrap(y, v.value)
 
     def distance(self, x: Point, y: Point) -> float:
-        return float(np.linalg.norm(x.value - y.value))
+        # np.linalg.norm of a 1-D float array is sqrt(d.dot(d)): same bits.
+        d = x.value - y.value
+        return math.sqrt(d.dot(d))
 
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.n)
 
     def tangent_basis(self, x: Point):
         self._check_point(x)
-        return [Tangent(x, e) for e in np.eye(self.n)]
+        return [Tangent._wrap(x, e) for e in np.eye(self.n)]

@@ -49,7 +49,7 @@ class Product(Manifold):
         """Combine component points into a product point."""
         self.a._check_point(pa, "first component")
         self.b._check_point(pb, "second component")
-        p = Point(self, np.concatenate([pa.value.ravel(), pb.value.ravel()]))
+        p = Point._wrap(self, np.concatenate((pa.value.ravel(), pb.value.ravel())))
         p.cache["parts"] = (pa, pb)
         return p
 
@@ -58,19 +58,19 @@ class Product(Manifold):
         self._check_point(x)
         parts = x.cache.get("parts")
         if parts is None:
-            pa = self.a._point_unchecked(x.value[: self.size_a].reshape(self.ambient_shape_a))
-            pb = self.b._point_unchecked(x.value[self.size_a :].reshape(self.ambient_shape_b))
+            pa = Point._wrap(self.a, x.value[: self.size_a].reshape(self.ambient_shape_a))
+            pb = Point._wrap(self.b, x.value[self.size_a :].reshape(self.ambient_shape_b))
             parts = (pa, pb)
             x.cache["parts"] = parts
         return parts
 
     def join_tangent(self, x: Point, va: Tangent, vb: Tangent) -> Tangent:
-        return Tangent(x, np.concatenate([va.value.ravel(), vb.value.ravel()]))
+        return Tangent._wrap(x, np.concatenate((va.value.ravel(), vb.value.ravel())))
 
     def split_tangent(self, v: Tangent) -> tuple[Tangent, Tangent]:
         pa, pb = self.split(v.base)
-        va = Tangent(pa, v.value[: self.size_a].reshape(self.ambient_shape_a))
-        vb = Tangent(pb, v.value[self.size_a :].reshape(self.ambient_shape_b))
+        va = Tangent._wrap(pa, v.value[: self.size_a].reshape(self.ambient_shape_a))
+        vb = Tangent._wrap(pb, v.value[self.size_a :].reshape(self.ambient_shape_b))
         return va, vb
 
     # -- manifold interface ---------------------------------------------
@@ -127,9 +127,9 @@ class Product(Manifold):
         zero_b = np.zeros(self.size_b)
         out = []
         for e in self.a.tangent_basis(pa):
-            out.append(Tangent(x, np.concatenate([e.value.ravel(), zero_b])))
+            out.append(Tangent._wrap(x, np.concatenate([e.value.ravel(), zero_b])))
         for e in self.b.tangent_basis(pb):
-            out.append(Tangent(x, np.concatenate([zero_a, e.value.ravel()])))
+            out.append(Tangent._wrap(x, np.concatenate([zero_a, e.value.ravel()])))
         return out
 
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..errors import DomainError, ParameterError, StepTooLongError
@@ -99,7 +101,7 @@ class Spd(Manifold):
         skew = np.linalg.norm(arr - arr.T)
         if skew > POINT_TOL * max(1.0, np.linalg.norm(arr)):
             raise ParameterError(f"matrix is not symmetric: ||a - a.T|| = {skew:.3g}")
-        p = Point(self, symmetrize(arr))
+        p = Point._wrap(self, symmetrize(arr))
         self._dec(p)  # validates positive definiteness and primes the cache
         return p
 
@@ -130,7 +132,7 @@ class Spd(Manifold):
                 f"eigenvalue {top:.6g} exceeds the overflow guard {_EXP_EIG_GUARD:.0f}"
             )
         sq = self._sqrt(x)
-        y = self._point_unchecked(symmetrize(sq @ spectral(dec, np.exp) @ sq))
+        y = Point._wrap(self, symmetrize(sq @ spectral(dec, np.exp) @ sq))
         self._dec(y)  # a step can underflow to a singular matrix; reject it here
         return y
 
@@ -152,17 +154,41 @@ class Spd(Manifold):
                 )
         return dec
 
-    def _log_parts(self, x: Point, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
-        """``(Log_x(a), log(w), eig(w))`` with ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack."""
+    def _log_dec_to(self, x: Point, y: Point) -> SpectralDecomposition:
+        """:meth:`_log_dec` of the point ``y``, cached on ``x`` per target array.
+
+        Callers that go from one point to the same target, such as a
+        gradient toward a fixed point and the distance to it, share one
+        eigendecomposition. An entry keeps the target's read-only array
+        alive, so its ``id`` is not reused, and not the target point, so
+        points measured each from the one before stay collectable.
+        """
         self._check_point(x)
-        dec = self._log_dec(x, a)
+        self._check_point(y)
+        a = y.value
+        cache = x.cache.setdefault("log_dec", {})
+        got = cache.get(id(a))
+        if got is None:
+            got = cache[id(a)] = (a, self._log_dec(x, a))
+        return got[1]
+
+    def _log_parts(
+        self, x: Point, a: np.ndarray, dec: Optional[SpectralDecomposition] = None
+    ) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
+        """``(Log_x(a), log(w), eig(w))`` with ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.
+
+        ``dec`` is ``eig(w)`` when the caller has it already.
+        """
+        self._check_point(x)
+        if dec is None:
+            dec = self._log_dec(x, a)
         sq = self._sqrt(x)
         k = spectral(dec, np.log)
         return symmetrize(sq @ k @ sq), k, dec
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(y)
-        return Tangent(x, self._log_parts(x, y.value)[0])
+        return Tangent._wrap(x, self._log_parts(x, y.value)[0])
 
     def log_stack(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``Log_x(a_i)`` and ``||Log_x(a_i)||_x^2`` for a stack of SPD targets.
@@ -184,12 +210,10 @@ class Spd(Manifold):
         x = v.base
         half = spectral(self._log_dec(x, y.value), np.sqrt)
         e = self._sqrt(x) @ half @ self._isqrt(x)
-        return Tangent(y, symmetrize(e @ v.value @ e.T))
+        return Tangent._wrap(y, symmetrize(e @ v.value @ e.T))
 
     def distance(self, x: Point, y: Point) -> float:
-        self._check_point(x)
-        self._check_point(y)
-        dec = self._log_dec(x, y.value)
+        dec = self._log_dec_to(x, y)
         return float(np.linalg.norm(np.log(dec.eigenvalues)))
 
     def tangent_basis(self, x: Point):
@@ -208,10 +232,10 @@ class Spd(Manifold):
         for i in range(self.n):
             for j in range(i, self.n):
                 if i == j:
-                    basis.append(Tangent(x, np.outer(cols[i], cols[i])))
+                    basis.append(Tangent._wrap(x, np.outer(cols[i], cols[i])))
                 else:
                     outer = np.outer(cols[i], cols[j])
-                    basis.append(Tangent(x, (outer + outer.T) * inv_rt2))
+                    basis.append(Tangent._wrap(x, (outer + outer.T) * inv_rt2))
         return basis
 
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:

@@ -66,22 +66,22 @@ class Sphere(Manifold):
 
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
-        theta = float(np.linalg.norm(v.value))
+        theta = math.sqrt(v.value.dot(v.value))
         if theta > self.exp_guard:
             raise StepTooLongError(
                 f"tangent norm {theta:.6g} exceeds the sphere exp guard {self.exp_guard:.6g}"
             )
         if theta < 1e-16:
-            return self._point_unchecked(x.value.copy())
+            return Point._wrap(self, x.value.copy())
         out = math.cos(theta) * x.value + (math.sin(theta) / theta) * v.value
-        return self._point_unchecked(out / np.linalg.norm(out))
+        return Point._wrap(self, out / math.sqrt(out.dot(out)))
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)
         self._check_point(y)
         cos_t = min(1.0, max(-1.0, float(np.dot(x.value, y.value))))
         u = y.value - cos_t * x.value
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u.dot(u))
         # nu = sin(theta) up to rounding, so atan2 recovers the angle with
         # full precision at both ends of the range (acos loses half the
         # significant digits near theta = 0).
@@ -93,19 +93,19 @@ class Sphere(Manifold):
             )
         if nu < 1e-16:
             return self.zero_tangent(x)
-        return Tangent(x, (theta / nu) * u)
+        return Tangent._wrap(x, (theta / nu) * u)
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)
         x = v.base
         u = self.log(x, y)
-        theta = float(np.linalg.norm(u.value))
+        theta = math.sqrt(u.value.dot(u.value))
         if theta < 1e-16:
-            return Tangent(y, self._project_array(y, v.value))
+            return Tangent._wrap(y, self._project_array(y, v.value))
         e = u.value / theta
         a = float(np.dot(v.value, e))
         out = v.value - a * e + a * (math.cos(theta) * e - math.sin(theta) * x.value)
-        return Tangent(y, self._project_array(y, out))
+        return Tangent._wrap(y, self._project_array(y, out))
 
     def distance(self, x: Point, y: Point) -> float:
         self._check_point(x)
@@ -113,10 +113,8 @@ class Sphere(Manifold):
         # Chord-based angle: ||x - y|| = 2 sin(theta/2) and
         # ||x + y|| = 2 cos(theta/2), so atan2 gives theta/2 with full
         # precision over the whole range, including theta = 0 exactly.
-        half = math.atan2(
-            float(np.linalg.norm(x.value - y.value)),
-            float(np.linalg.norm(x.value + y.value)),
-        )
+        diff, total = x.value - y.value, x.value + y.value
+        half = math.atan2(math.sqrt(diff.dot(diff)), math.sqrt(total.dot(total)))
         return 2.0 * half
 
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:

@@ -144,7 +144,7 @@ def numeric_riemannian_grad(manifold: Manifold, phi: Callable[[Point], float], x
                 f"objective returned a non-finite value during finite differencing on {manifold.name}"
             )
         out = out + ((f_plus - f_minus) / (2.0 * eps)) * e.value
-    return Tangent(x, out)
+    return Tangent._wrap(x, out)
 
 
 def estimate_smoothness(problem: MinimaxProblem, rng: Optional[np.random.Generator] = None) -> float:
@@ -226,10 +226,10 @@ def euclidean_quadratic(b) -> MinimaxProblem:
         return float(x.value @ (b @ y.value))
 
     def grad_x(x: Point, y: Point) -> Tangent:
-        return Tangent(x, b @ y.value)
+        return Tangent._wrap(x, b @ y.value)
 
     def grad_y(x: Point, y: Point) -> Tangent:
-        return Tangent(y, b.T @ x.value)
+        return Tangent._wrap(y, b.T @ x.value)
 
     saddle = (mx.point(np.zeros(n)), my.point(np.zeros(n)))
     return MinimaxProblem(
@@ -254,7 +254,7 @@ def _bilinear_log(m: Spd, p: Point, target: Point, key: str):
     """``(Log_p(target), log(w), eig(w))`` with ``w = p^{-1/2} target p^{-1/2}``, cached on ``p``."""
     got = p.cache.get(key)
     if got is None:
-        got = p.cache[key] = m._log_parts(p, target.value)
+        got = p.cache[key] = m._log_parts(p, target.value, m._log_dec_to(p, target))
     return got
 
 
@@ -266,7 +266,7 @@ def _bilinear_grad(m: Spd, p: Point, log_parts, b: np.ndarray) -> Tangent:
     adj = daleckii_krein(wdec, s @ b @ s, log_divided, log_derivative)
     half = k @ s @ b - w @ adj @ s_inv
     g = daleckii_krein(m._dec(p), half + half.T, sqrt_divided, sqrt_derivative)
-    return Tangent(p, symmetrize(p.value @ g @ p.value))
+    return Tangent._wrap(p, symmetrize(p.value @ g @ p.value))
 
 
 def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProblem:
@@ -411,13 +411,13 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
     def grad_x(x: Point, m_pt: Point) -> Tangent:
         mv = m_pt.value @ x.value
         quad = float(x.value @ mv)
-        return Tangent(x, -2.0 * (mv - quad * x.value))
+        return Tangent._wrap(x, -2.0 * (mv - quad * x.value))
 
     def grad_y(x: Point, m_pt: Point) -> Tangent:
         log_sum, _ = _penalty(m_pt)
         mx_vec = m_pt.value @ x.value
         out = -np.outer(mx_vec, mx_vec)
-        return Tangent(m_pt, symmetrize(out + (2.0 * alpha / k) * log_sum))
+        return Tangent._wrap(m_pt, symmetrize(out + (2.0 * alpha / k) * log_sum))
 
     def best_response_x(m_pt: Point) -> Point:
         return mx.point(my._dec(m_pt).q[:, 0])
@@ -484,7 +484,7 @@ def augmented_lagrangian(
         return out
 
     def grad_y(x: Point, lam: Point) -> Tangent:
-        return Tangent(lam, h_vec(x) - alpha * lam.value)
+        return Tangent._wrap(lam, h_vec(x) - alpha * lam.value)
 
     return MinimaxProblem(
         name="augmented_lagrangian",

@@ -141,13 +141,29 @@ def _pair_grads(problem: MinimaxProblem, pair: Point) -> tuple[Tangent, Tangent]
     return problem.grad_x(x, y), problem.grad_y(x, y)
 
 
+def _step_along(m: Manifold, p: Point, g: Tangent, scale: float, back_to: Optional[Point] = None) -> Point:
+    """``Exp_p(scale g)``, or ``Exp_p(scale g + Log_p(back_to))``.
+
+    The tangent is formed once from the arrays, by the operations of
+    ``scale * g + m.log(p, back_to)`` in their order, so with the same
+    bits, and with the same checks: both terms share a base, and ``exp``
+    checks that it is ``p``.
+    """
+    v = g.value * scale
+    if back_to is not None:
+        log = m.log(p, back_to)
+        g._check_same_base(log)
+        v = v + log.value
+    return m.exp(p, Tangent._wrap(g.base, v))
+
+
 def _extrapolate(problem: MinimaxProblem, state: SolverState, grads) -> tuple[Point, Point, Point, Point]:
     """``(x, y, w, z)``: the current pair and its simultaneous gradient step
     ``w = Exp_x(-eta grad_x)``, ``z = Exp_y(+eta grad_y)``, from ``grads`` if given."""
     x, y = problem.domain.split(state.current)
     gx, gy = grads if grads is not None else _pair_grads(problem, state.current)
     eta = state.eta
-    return x, y, problem.manifold_x.exp(x, (-eta) * gx), problem.manifold_y.exp(y, eta * gy)
+    return x, y, _step_along(problem.manifold_x, x, gx, -eta), _step_along(problem.manifold_y, y, gy, eta)
 
 
 def rceg_step(
@@ -162,13 +178,12 @@ def rceg_step(
     gradient evaluation between diagnostics and the step.
     """
     prod = problem.domain
-    mx, my = problem.manifold_x, problem.manifold_y
     eta = state.eta
     x, y, w, z = _extrapolate(problem, state, grads)
     gxw = problem.grad_x(w, z)
     gyz = problem.grad_y(w, z)
-    x1 = mx.exp(w, (-eta) * gxw + mx.log(w, x))
-    y1 = my.exp(z, eta * gyz + my.log(z, y))
+    x1 = _step_along(problem.manifold_x, w, gxw, -eta, x)
+    y1 = _step_along(problem.manifold_y, z, gyz, eta, y)
     return SolverState(t=state.t + 1, current=prod.join(x1, y1), extrapolated=prod.join(w, z), eta=eta)
 
 
@@ -473,8 +488,13 @@ def run(
     prod = problem.domain
     state = make_state(problem, start[0], start[1], resolve_step_size(problem, eta))
     mx, my = problem.manifold_x, problem.manifold_y
-    ref_pair = prod.join(*problem.known_saddle) if problem.known_saddle is not None else None
-    scale = max(1.0, prod.distance(state.current, ref_pair)) if ref_pair is not None else 1.0
+    ref = problem.known_saddle
+    scale = max(1.0, prod.distance(state.current, prod.join(*ref))) if ref is not None else 1.0
+
+    def dist_to_ref(x: Point, y: Point) -> float:
+        # Product.distance of the pair points, from the factor points.
+        return float(np.hypot(mx.distance(x, ref[0]), my.distance(y, ref[1])))
+
     threshold = _DIVERGENCE_FACTOR * scale
 
     records: list[IterationRecord] = []
@@ -501,7 +521,7 @@ def run(
             value=float(problem.value(x, y)),
             grad_norm_x=mx.norm(grads[0]),
             grad_norm_y=my.norm(grads[1]),
-            dist_to_ref=prod.distance(s.current, ref_pair) if ref_pair is not None else None,
+            dist_to_ref=dist_to_ref(x, y) if ref is not None else None,
             gap_estimate=gap_val,
             wall_ms=(time.perf_counter() - t_start) * 1000.0,
         )
@@ -516,7 +536,7 @@ def run(
             if t == iters:
                 break
             state = step(problem, state, grads)
-            if not np.all(np.isfinite(state.current.value)):
+            if not np.isfinite(state.current.value).all():
                 raise NumericalError("iterate contains non-finite values")
             if keep_averages:
                 average = geodesic_average_update(prod, average, state.extrapolated, t)

@@ -7,12 +7,14 @@ from geominimax.errors import (
     ParameterError,
 )
 from geominimax.linalg import (
+    SpectralDecomposition,
     qr_orthonormal,
     random_spd,
     spectral,
     sym_eig,
     symmetrize,
 )
+from geominimax.manifolds import Spd
 
 RT2 = np.sqrt(2.0)
 
@@ -63,6 +65,102 @@ class TestSymEig:
             sym_eig(np.ones((2, 3)))
         with pytest.raises(DomainError):
             sym_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def reference_sym_eig(a) -> SpectralDecomposition:
+    """Descending order by argsort and gathers: the reference that
+    :func:`sym_eig`, which reverses ``eigh``'s ascending order, must equal
+    bit for bit, layout included."""
+    a = symmetrize(np.asarray(a, dtype=float))
+    lam, q = np.linalg.eigh(a)
+    order = np.argsort(lam, axis=-1)[..., ::-1]
+    if a.ndim == 2:
+        lam = lam[order]
+        q = q[:, order]
+        first = np.argmax(np.abs(q) > 1e-12, axis=0)
+        signs = np.sign(q[first, np.arange(q.shape[1])])
+    else:
+        lam = np.take_along_axis(lam, order, axis=-1)
+        q = np.take_along_axis(q, order[..., None, :], axis=-1)
+        first = np.argmax(np.abs(q) > 1e-12, axis=-2)
+        signs = np.sign(np.take_along_axis(q, first[..., None, :], axis=-2))
+    signs[signs == 0] = 1.0
+    return SpectralDecomposition(q=q * signs, eigenvalues=lam)
+
+
+def repeated_eigenvalue(n, rng):
+    """A rotated SPD matrix whose top eigenvalue is repeated n // 2 times."""
+    q, _ = qr_orthonormal(rng.standard_normal((n, n)))
+    lam = np.where(np.arange(n) < n // 2, 3.0, rng.uniform(0.5, 2.0, size=n))
+    return symmetrize((q * lam) @ q.T)
+
+
+class TestSymEigMatchesReference:
+    """The decomposition, its layout and what is built on it are those of
+    :func:`reference_sym_eig`, bit for bit. Equal arrays are not enough:
+    ``Spd.distance`` sums ``log(eigenvalues)`` in memory order, and the
+    rounding of a matrix product depends on the layout of ``q``."""
+
+    @staticmethod
+    def cases(n):
+        rng = np.random.default_rng(90 + n)
+        spd = [random_spd(n, 0.2, 4.5, rng) for _ in range(3)]
+        singles = [
+            symmetrize(rng.standard_normal((n, n))),
+            spd[0],
+            np.eye(n),
+            repeated_eigenvalue(n, rng),
+            np.diag(np.repeat([2.0, 1.0], [n - n // 2, n // 2])),
+        ]
+        stacks = [
+            np.stack(spd),
+            np.stack([np.eye(n), spd[1], repeated_eigenvalue(n, rng), np.eye(n)]),
+            np.stack(spd[:2] * 3).reshape(2, 3, n, n),
+            spd[2][None],
+        ]
+        return singles + stacks
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_decomposition_and_layout(self, n):
+        for a in self.cases(n):
+            got, want = sym_eig(a), reference_sym_eig(a)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.q, want.q)
+            assert got.eigenvalues.flags.c_contiguous
+            assert got.q.flags.c_contiguous == want.q.flags.c_contiguous
+            assert got.q.flags.f_contiguous == want.q.flags.f_contiguous
+            assert np.array_equal(spectral(got, np.exp), spectral(want, np.exp))
+            assert np.array_equal(spectral(got, np.exp, inverse=True), spectral(want, np.exp, inverse=True))
+            assert np.array_equal(a @ got.q, a @ want.q)
+            if np.all(want.eigenvalues > 0.0):
+                assert np.linalg.norm(np.log(got.eigenvalues)) == np.linalg.norm(np.log(want.eigenvalues))
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_spd_operations(self, n):
+        """``Spd`` exp, log, distance and log_stack equal their closed forms
+        built from the reference decomposition."""
+        rng = np.random.default_rng(100 + n)
+        m = Spd(n)
+        x = m.point(random_spd(n, 0.2, 4.5, rng))
+        y = m.point(random_spd(n, 0.2, 4.5, rng))
+        ref = reference_sym_eig(x.value)
+        sq, isq = spectral(ref, np.sqrt), spectral(ref, np.sqrt, inverse=True)
+        inv = spectral(ref, inverse=True)
+
+        w = reference_sym_eig(isq @ y.value @ isq)
+        assert m.distance(x, y) == float(np.linalg.norm(np.log(w.eigenvalues)))
+        assert np.array_equal(m.log(x, y).value, symmetrize(sq @ spectral(w, np.log) @ sq))
+
+        v = m.log(x, y).value * 0.7
+        e = reference_sym_eig(isq @ v @ isq)
+        assert np.array_equal(m.exp(x, m.tangent(x, v)).value, symmetrize(sq @ spectral(e, np.exp) @ sq))
+
+        targets = np.stack([y.value, random_spd(n, 0.2, 4.5, rng), x.value])
+        ws = reference_sym_eig(isq @ targets @ isq)
+        logs = symmetrize(sq @ spectral(ws, np.log) @ sq)
+        got_logs, got_sqs = m.log_stack(x, targets)
+        assert np.array_equal(got_logs, logs)
+        assert np.array_equal(got_sqs, np.einsum("...ij,...ji->...", inv @ logs, inv @ logs))
 
 
 class TestSpectral:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from geominimax.errors import (
     ParameterError,
     StepTooLongError,
 )
-from geominimax.manifolds import Euclidean, Product, Spd, Sphere
+from geominimax.manifolds import Euclidean, Point, Product, Spd, Sphere, Tangent
 
 
 def make_all():
@@ -320,6 +322,78 @@ class TestSharedProperties:
         x = m.point([0.0, 1.0])
         with pytest.raises(ValueError):
             x.value[0] = 3.0
+
+
+def manifolds_with_product():
+    return make_all() + [Product(Sphere(3, math.pi / 4.0), Spd(2, 4.0))]
+
+
+class TestWrapping:
+    """Points and tangents keep what they wrap: the array a caller passed is
+    copied, every array the package hands out is read-only, and the
+    wrappers' attributes cannot be reassigned."""
+
+    @pytest.mark.parametrize("m", manifolds_with_product(), ids=lambda m: m.name)
+    def test_caller_arrays_are_copied(self, m):
+        rng = np.random.default_rng(60)
+        x = m.random_point(rng)
+        v = m.random_tangent(x, rng)
+        for wrap, arr, base in (
+            (lambda a: Point(m, a), x.value.copy(), None),
+            (lambda a: m.point(a), x.value.copy(), None),
+            (lambda a: Tangent(x, a), v.value.copy(), x),
+            (lambda a: m.tangent(x, a), v.value.copy(), x),
+        ):
+            wrapped = wrap(arr)
+            before = wrapped.value.copy()
+            arr += 1.0
+            assert np.array_equal(wrapped.value, before)
+            assert wrapped.value.flags.writeable is False
+            assert base is None or wrapped.base is base
+
+    @pytest.mark.parametrize("m", manifolds_with_product(), ids=lambda m: m.name)
+    def test_operation_results_are_read_only(self, m):
+        rng = np.random.default_rng(61)
+        x = m.random_point(rng)
+        v = m.random_tangent(x, rng, norm=0.3)
+        y = m.exp(x, v)
+        out = [
+            y.value,
+            m.log(x, y).value,
+            m.transport(v, y).value,
+            (v + v).value,
+            (v - v).value,
+            (2.0 * v).value,
+            (-v).value,
+            m.zero_tangent(x).value,
+        ]
+        out += [e.value for e in m.tangent_basis(x)]
+        for arr in out:
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_attributes_cannot_be_reassigned(self):
+        m = Euclidean(2, 5.0)
+        x = m.point([0.0, 1.0])
+        v = m.tangent(x, [1.0, 0.0])
+        for obj, name in ((x, "value"), (x, "manifold"), (x, "cache"), (v, "value"), (v, "base")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+
+    def test_copies_keep_value_and_base(self):
+        m = Spd(3, 4.0)
+        x = m.identity()
+        v = m.tangent(x, np.diag([1.0, 2.0, 3.0]))
+        y = pickle.loads(pickle.dumps(x))
+        assert np.array_equal(y.value, x.value) and y.manifold.n == 3
+        w = copy.deepcopy(v)
+        assert np.array_equal(w.value, v.value) and np.array_equal(w.base.value, x.value)
+        assert not w.value.flags.writeable
 
 
 class TestProduct:

@@ -18,6 +18,34 @@ from geominimax.problems import (
 from geominimax.solvers import riemannian_gd, run
 
 
+def problems_with_points():
+    """Each factory, with a pair of points in its domain."""
+    rng = np.random.default_rng(70)
+    flat = euclidean_quadratic(rng.standard_normal((3, 3)))
+    curved = spd_bilinear(random_spd(3, 0.8, 1.25, rng), random_spd(3, 0.8, 1.25, rng))
+    rpca = robust_pca([random_spd(3, 0.2, 4.5, rng) for _ in range(2)], 1.0)
+    m = Spd(3, 8.0)
+    lagrangian = augmented_lagrangian(
+        m,
+        lambda x: 0.5 * float(np.trace(x.value)),
+        lambda x: m.tangent(x, 0.5 * x.value @ x.value),
+        [(lambda x: float(np.trace(x.value)) - 3.0, lambda x: m.tangent(x, x.value @ x.value))],
+        0.5,
+    )
+    out = []
+    for prob in (flat, curved, rpca, lagrangian):
+        out.append((prob, prob.manifold_x.random_point(rng), prob.manifold_y.random_point(rng)))
+    return out
+
+
+@pytest.mark.parametrize("prob, x, y", problems_with_points(), ids=lambda p: getattr(p, "name", ""))
+def test_gradients_are_read_only(prob, x, y):
+    for g, base in ((prob.grad_x(x, y), x), (prob.grad_y(x, y), y)):
+        assert g.base is base
+        with pytest.raises(ValueError):
+            g.value[...] = 0.0
+
+
 def rel_err(got, want, scale=1.0):
     return np.linalg.norm((got - want).ravel()) / max(1.0, scale)
 
@@ -216,6 +244,32 @@ class TestSpdBilinear:
         start = (prob.manifold_x.identity(), prob.manifold_y.identity())
         res = run(prob, "rceg", iters=20, start=start, eta=0.2)
         assert res.status == "ok"
+
+    def test_distance_to_the_saddle_reuses_the_gradient_decomposition(self, monkeypatch):
+        """After a gradient at ``(x, y)``, the distance of each factor to the
+        saddle needs no eigendecomposition, and it has the bits of one
+        measured from fresh points."""
+        rng = np.random.default_rng(41)
+        prob = spd_bilinear(random_spd(4, 0.8, 1.25, rng), random_spd(4, 0.8, 1.25, rng))
+        mx, my = prob.manifold_x, prob.manifold_y
+        xs, ys = prob.known_saddle
+        x = mx.point(random_spd(4, 0.6, 1.8, rng))
+        y = my.point(random_spd(4, 0.6, 1.8, rng))
+        want = (mx.distance(mx.point(x.value), xs), my.distance(my.point(y.value), ys))
+        prob.grad_x(x, y)
+        prob.grad_y(x, y)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert (mx.distance(x, xs), my.distance(y, ys)) == want
+        assert calls == []
+        mx.distance(x, mx.point(xs.value))  # another target point is decomposed anew
+        assert calls == [(4, 4), (4, 4)]
 
 
 class TestRobustPca:

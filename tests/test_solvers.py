@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geominimax import (
+    ContractError,
     Euclidean,
     MinimaxProblem,
     NumericalError,
@@ -180,6 +181,69 @@ class TestRcegStep:
         x1, y1 = p.domain.split(s.current)
         np.testing.assert_allclose(x1.value, a.value, atol=1e-12)
         np.testing.assert_allclose(y1.value, b.value, atol=1e-12)
+
+
+def reference_step(problem, state, corrected):
+    """One RCEG step (RGDA with ``corrected=False``) in ``Tangent``
+    arithmetic: ``(current, extrapolated)`` as factor pairs. The steppers
+    form their tangents from the arrays and must equal this bit for bit."""
+    mx, my = problem.manifold_x, problem.manifold_y
+    eta = state.eta
+    x, y = problem.domain.split(state.current)
+    w = mx.exp(x, (-eta) * problem.grad_x(x, y))
+    z = my.exp(y, eta * problem.grad_y(x, y))
+    if not corrected:
+        return (w, z), (w, z)
+    gxw, gyz = problem.grad_x(w, z), problem.grad_y(w, z)
+    x1 = mx.exp(w, (-eta) * gxw + mx.log(w, x))
+    y1 = my.exp(z, eta * gyz + my.log(z, y))
+    return (x1, y1), (w, z)
+
+
+def three_geometries():
+    """Euclidean x Euclidean, Sphere x SPD and SPD x SPD, each with a start and a step size."""
+    rng = np.random.default_rng(31)
+    flat = euclidean_quadratic(rng.standard_normal((5, 5)))
+    flat_start = (flat.manifold_x.point(rng.standard_normal(5)), flat.manifold_y.point(rng.standard_normal(5)))
+    data = [random_spd(4, 0.8, 1.6, rng) for _ in range(3)]
+    rpca = robust_pca(data, alpha=1.0)
+    rpca_start = (rpca.manifold_x.point(np.ones(4) / 2.0), rpca.manifold_y.point(np.mean(data, axis=0)))
+    curved = spd_bilinear(random_spd(4, 0.8, 1.25, rng), random_spd(4, 0.8, 1.25, rng))
+    curved_start = (curved.manifold_x.identity(), curved.manifold_y.identity())
+    return [(flat, flat_start, 0.1), (rpca, rpca_start, 0.05), (curved, curved_start, 0.2)]
+
+
+class TestStepsEqualTangentArithmetic:
+    @pytest.mark.parametrize("problem, start, eta", three_geometries(), ids=lambda p: getattr(p, "name", ""))
+    @pytest.mark.parametrize("algo", ["rceg", "rgda"])
+    def test_bit_for_bit(self, problem, start, eta, algo):
+        prod = problem.domain
+        s = make_state(problem, *start, eta)
+        for _ in range(8):
+            (x1, y1), (w, z) = reference_step(problem, s, corrected=algo == "rceg")
+            s = solvers._STEPPERS[algo](problem, s)
+            assert np.array_equal(s.current.value, prod.join(x1, y1).value)
+            assert np.array_equal(s.extrapolated.value, prod.join(w, z).value)
+
+    def test_a_gradient_at_another_point_is_refused(self):
+        """The corrected update adds ``Log_w(x)`` to the gradient at ``w``, so
+        a gradient based elsewhere is a contract violation, as in ``+``."""
+        p = scalar_bilinear()
+        origin = p.manifold_x.point([0.0])
+        wrong = MinimaxProblem(
+            name="wrong_base",
+            manifold_x=p.manifold_x,
+            manifold_y=p.manifold_y,
+            value=p.value,
+            grad_x=lambda x, y: p.manifold_x.tangent(origin, [1.0]),
+            grad_y=p.grad_y,
+            smoothness_l=1.0,
+        )
+        s = make_state(wrong, origin, p.manifold_y.point([1.0]), 0.5)
+        with pytest.raises(ContractError, match="tangent vectors have different base points"):
+            rceg_step(wrong, s)
+        with pytest.raises(ContractError, match="tangent is based at a different point"):
+            rceg_step(wrong, make_state(wrong, p.manifold_x.point([1.0]), p.manifold_y.point([1.0]), 0.5))
 
 
 class TestRgdaStep:
@@ -619,6 +683,18 @@ class TestRun:
         res = run(p, "rceg", iters=5, start=(p.manifold_x.point([1.0]), p.manifold_y.point([1.0])), eta=0.4)
         assert res.records[0].dist_to_ref == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert all(r.dist_to_ref is not None for r in res.records)
+
+    @pytest.mark.parametrize("problem, start, eta", three_geometries()[::2], ids=lambda p: getattr(p, "name", ""))
+    def test_dist_to_ref_is_the_product_distance(self, problem, start, eta):
+        """The trace's distance equals ``Product.distance`` of the pair to
+        the saddle pair, bit for bit, at every row."""
+        prod = problem.domain
+        ref = prod.join(*problem.known_saddle)
+        res = run(problem, "rceg", iters=6, start=start, eta=eta)
+        s = make_state(problem, *start, eta)
+        for record in res.records:
+            assert record.dist_to_ref == prod.distance(s.current, ref)
+            s = rceg_step(problem, s)
 
     def test_rceg_contracts_on_flat_bilinear(self):
         """With an orthogonal coupling the extragradient contraction rate
