@@ -368,11 +368,15 @@ def write_trace(records, path: Path) -> None:
 class ExperimentOutcome:
     """Files and final state produced by one experiment run."""
 
-    status: str
     out_dir: Path
     trace_path: Path
     meta_path: Path
     result: RunResult
+
+    @property
+    def status(self) -> str:
+        """The run's status, ``"ok"`` or ``"diverged"``."""
+        return self.result.status
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
@@ -417,13 +421,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
         "gap_unavailable_reason": result.gap_diagnostic or None,
     }
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return ExperimentOutcome(
-        status=result.status,
-        out_dir=out_dir,
-        trace_path=trace_path,
-        meta_path=meta_path,
-        result=result,
-    )
+    return ExperimentOutcome(out_dir=out_dir, trace_path=trace_path, meta_path=meta_path, result=result)
 
 
 def run_replicates(cfg: ExperimentConfig, out_dir, jobs: int) -> list[tuple[int, str, str]]:

@@ -76,6 +76,5 @@ class Euclidean(Manifold):
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.n)
 
-    def tangent_basis(self, x: Point):
-        self._check_point(x)
-        return [Tangent._wrap(x, e) for e in np.eye(self.n)]
+    def _basis_array(self, x: Point) -> np.ndarray:
+        return np.eye(self.n)

@@ -121,15 +121,12 @@ class Product(Manifold):
         ya, yb = self.split(y)
         return float(np.hypot(self.a.distance(xa, ya), self.b.distance(xb, yb)))
 
-    def tangent_basis(self, x: Point):
+    def _basis_array(self, x: Point) -> np.ndarray:
         pa, pb = self.split(x)
-        zero_a = np.zeros(self.size_a)
-        zero_b = np.zeros(self.size_b)
-        out = []
-        for e in self.a.tangent_basis(pa):
-            out.append(Tangent._wrap(x, np.concatenate([e.value.ravel(), zero_b])))
-        for e in self.b.tangent_basis(pb):
-            out.append(Tangent._wrap(x, np.concatenate([zero_a, e.value.ravel()])))
+        ba, bb = self.a._basis_array(pa), self.b._basis_array(pb)
+        out = np.zeros((len(ba) + len(bb), self.size_a + self.size_b))
+        out[: len(ba), : self.size_a] = ba.reshape(len(ba), -1)
+        out[len(ba) :, self.size_a :] = bb.reshape(len(bb), -1)
         return out
 
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:

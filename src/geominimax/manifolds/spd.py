@@ -216,26 +216,22 @@ class Spd(Manifold):
         dec = self._log_dec_to(x, y)
         return float(np.linalg.norm(np.log(dec.eigenvalues)))
 
-    def tangent_basis(self, x: Point):
+    def _basis_array(self, x: Point) -> np.ndarray:
         """Closed-form orthonormal basis ``x^{1/2} S x^{1/2}``.
 
         ``S`` runs over the Frobenius-orthonormal symmetric basis (unit
-        diagonal matrices and normalized symmetric pairs); conjugation by
-        ``x^{1/2}`` turns it into an orthonormal family for the
-        affine-invariant inner product at ``x``.
+        diagonal matrices and normalized symmetric pairs, ``i <= j`` in
+        row-major order); conjugation by ``x^{1/2}`` turns it into an
+        orthonormal family for the affine-invariant inner product at ``x``.
+        Element ``(i, j)`` is ``outer(c_i, c_j)`` of the columns of
+        ``x^{1/2}``, symmetrized as ``(o + o.T) / sqrt(2)`` when ``i < j``.
         """
-        self._check_point(x)
-        sq = self._sqrt(x)
-        cols = [sq[:, i] for i in range(self.n)]
-        basis = []
-        inv_rt2 = 1.0 / np.sqrt(2.0)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if i == j:
-                    basis.append(Tangent._wrap(x, np.outer(cols[i], cols[i])))
-                else:
-                    outer = np.outer(cols[i], cols[j])
-                    basis.append(Tangent._wrap(x, (outer + outer.T) * inv_rt2))
+        cols = self._sqrt(x).T
+        i, j = np.triu_indices(self.n)
+        basis = cols[i][:, :, None] * cols[j][:, None, :]
+        pair = i != j
+        outer = basis[pair]
+        basis[pair] = (outer + outer.transpose(0, 2, 1)) * (1.0 / np.sqrt(2.0))
         return basis
 
     def _random_point_array(self, rng: np.random.Generator) -> np.ndarray:

@@ -15,6 +15,12 @@ divergent on bilinear-type couplings. The steppers only step: the
 geodesic running mean of the extrapolated pairs, which the ergodic rate
 statement is about, is folded by :func:`run` under
 ``run(..., keep_averages=True)``.
+
+Each player moves on its own manifold, so a :class:`SolverState` holds
+the factor points, and the steppers, the trace rows, the drift check and
+the gap estimate work on them. A :class:`~geominimax.manifolds.Product`
+point is built only where a product metric is needed (the geodesic
+average) or when a caller reads ``state.current``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from .errors import (
     ParameterError,
     StepTooLongError,
 )
-from .manifolds import Manifold, Point, Tangent
+from .manifolds import Manifold, Point, Product, Tangent
+from .manifolds.base import _read_only
 from .problems import MinimaxProblem
 
 __all__ = [
@@ -56,50 +63,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SolverState:
     """State of a saddle solver after ``t`` completed steps.
 
-    ``current`` is the pair point ``(x_t, y_t)`` on the problem's product
-    manifold and ``extrapolated`` the last pair ``(w_t, z_t)`` (equal to
-    ``current`` for RGDA, ``None`` before the first step).
+    The state holds factor points: ``x, y`` is the current pair
+    ``(x_t, y_t)`` and ``w, z`` the last extrapolated pair ``(w_t, z_t)``
+    (the current pair itself for RGDA, ``None`` before the first step).
+    ``current`` and ``extrapolated`` are those pairs as points of the
+    product manifold ``domain``, joined on first read and cached on the
+    state; nothing on :func:`run`'s per-step path reads them. Attributes
+    cannot be reassigned.
     """
 
-    t: int
-    current: Point
-    extrapolated: Optional[Point]
-    eta: float
+    __slots__ = ("domain", "t", "x", "y", "w", "z", "eta", "_current", "_extrapolated")
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ParameterError(f"iteration counter must be >= 0, got {self.t}")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ParameterError(f"step size must be positive and finite, got {self.eta!r}")
+    def __new__(
+        cls, domain: Product, t: int, x: Point, y: Point, w: Optional[Point], z: Optional[Point], eta: float
+    ):
+        if t < 0:
+            raise ParameterError(f"iteration counter must be >= 0, got {t}")
+        if not (eta > 0.0 and math.isfinite(eta)):
+            raise ParameterError(f"step size must be positive and finite, got {eta!r}")
+        s = _new(cls)
+        _state_domain(s, domain)
+        _state_t(s, t)
+        _state_x(s, x)
+        _state_y(s, y)
+        _state_w(s, w)
+        _state_z(s, z)
+        _state_eta(s, eta)
+        return s
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return SolverState, (self.domain, self.t, self.x, self.y, self.w, self.z, self.eta)
+
+    @property
+    def current(self) -> Point:
+        """``(x, y)`` as a point of ``domain``."""
+        try:
+            return self._current
+        except AttributeError:
+            _state_current(self, self.domain.join(self.x, self.y))
+            return self._current
+
+    @property
+    def extrapolated(self) -> Optional[Point]:
+        """``(w, z)`` as a point of ``domain``; ``current`` itself when the
+        pairs are the same points, ``None`` before the first step."""
+        if self.w is None:
+            return None
+        if self.w is self.x and self.z is self.y:
+            return self.current
+        try:
+            return self._extrapolated
+        except AttributeError:
+            _state_extrapolated(self, self.domain.join(self.w, self.z))
+            return self._extrapolated
 
 
-@dataclass(frozen=True)
 class IterationRecord:
-    """Diagnostics for one recorded iteration."""
+    """Diagnostics for one recorded iteration. Attributes cannot be reassigned."""
 
-    t: int
-    value: float
-    grad_norm_x: float
-    grad_norm_y: float
-    dist_to_ref: Optional[float]
-    gap_estimate: Optional[float]
-    wall_ms: float
+    __slots__ = ("t", "value", "grad_norm_x", "grad_norm_y", "dist_to_ref", "gap_estimate", "wall_ms")
+
+    def __new__(
+        cls,
+        t: int,
+        value: float,
+        grad_norm_x: float,
+        grad_norm_y: float,
+        dist_to_ref: Optional[float],
+        gap_estimate: Optional[float],
+        wall_ms: float,
+    ):
+        r = _new(cls)
+        _record_t(r, t)
+        _record_value(r, value)
+        _record_gx(r, grad_norm_x)
+        _record_gy(r, grad_norm_y)
+        _record_dist(r, dist_to_ref)
+        _record_gap(r, gap_estimate)
+        _record_wall(r, wall_ms)
+        return r
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return IterationRecord, tuple(getattr(self, name) for name in self.__slots__)
+
+
+# The slots are set through their descriptors, past the read-only __setattr__.
+_new = object.__new__
+(
+    _state_domain, _state_t, _state_x, _state_y, _state_w, _state_z, _state_eta, _state_current, _state_extrapolated
+) = (getattr(SolverState, name).__set__ for name in SolverState.__slots__)
+_record_t, _record_value, _record_gx, _record_gy, _record_dist, _record_gap, _record_wall = (
+    getattr(IterationRecord, name).__set__ for name in IterationRecord.__slots__
+)
 
 
 def make_state(problem: MinimaxProblem, x0: Point, y0: Point, eta: float) -> SolverState:
     """Initial solver state at ``(x0, y0)``."""
     problem.manifold_x._check_point(x0, "x0")
     problem.manifold_y._check_point(y0, "y0")
-    return SolverState(
-        t=0,
-        current=problem.domain.join(x0, y0),
-        extrapolated=None,
-        eta=float(eta),
-    )
+    return SolverState(problem.domain, 0, x0, y0, None, None, float(eta))
 
 
 def resolve_step_size(problem: MinimaxProblem, eta) -> float:
@@ -136,8 +205,7 @@ def geodesic_average_update(manifold: Manifold, average: Optional[Point], new: P
     return manifold.exp(average, step)
 
 
-def _pair_grads(problem: MinimaxProblem, pair: Point) -> tuple[Tangent, Tangent]:
-    x, y = problem.domain.split(pair)
+def _pair_grads(problem: MinimaxProblem, x: Point, y: Point) -> tuple[Tangent, Tangent]:
     return problem.grad_x(x, y), problem.grad_y(x, y)
 
 
@@ -157,13 +225,13 @@ def _step_along(m: Manifold, p: Point, g: Tangent, scale: float, back_to: Option
     return m.exp(p, Tangent._wrap(g.base, v))
 
 
-def _extrapolate(problem: MinimaxProblem, state: SolverState, grads) -> tuple[Point, Point, Point, Point]:
-    """``(x, y, w, z)``: the current pair and its simultaneous gradient step
-    ``w = Exp_x(-eta grad_x)``, ``z = Exp_y(+eta grad_y)``, from ``grads`` if given."""
-    x, y = problem.domain.split(state.current)
-    gx, gy = grads if grads is not None else _pair_grads(problem, state.current)
+def _extrapolate(problem: MinimaxProblem, state: SolverState, grads) -> tuple[Point, Point]:
+    """``(w, z)``: the simultaneous gradient step ``w = Exp_x(-eta grad_x)``,
+    ``z = Exp_y(+eta grad_y)`` from the current pair, with ``grads`` if given."""
+    x, y = state.x, state.y
+    gx, gy = grads if grads is not None else _pair_grads(problem, x, y)
     eta = state.eta
-    return x, y, _step_along(problem.manifold_x, x, gx, -eta), _step_along(problem.manifold_y, y, gy, eta)
+    return _step_along(problem.manifold_x, x, gx, -eta), _step_along(problem.manifold_y, y, gy, eta)
 
 
 def rceg_step(
@@ -177,14 +245,13 @@ def rceg_step(
     are recomputed otherwise); the harness uses this to share one
     gradient evaluation between diagnostics and the step.
     """
-    prod = problem.domain
     eta = state.eta
-    x, y, w, z = _extrapolate(problem, state, grads)
+    w, z = _extrapolate(problem, state, grads)
     gxw = problem.grad_x(w, z)
     gyz = problem.grad_y(w, z)
-    x1 = _step_along(problem.manifold_x, w, gxw, -eta, x)
-    y1 = _step_along(problem.manifold_y, z, gyz, eta, y)
-    return SolverState(t=state.t + 1, current=prod.join(x1, y1), extrapolated=prod.join(w, z), eta=eta)
+    x1 = _step_along(problem.manifold_x, w, gxw, -eta, state.x)
+    y1 = _step_along(problem.manifold_y, z, gyz, eta, state.y)
+    return SolverState(state.domain, state.t + 1, x1, y1, w, z, eta)
 
 
 def rgda_step(
@@ -193,9 +260,8 @@ def rgda_step(
     grads: Optional[tuple[Tangent, Tangent]] = None,
 ) -> SolverState:
     """One simultaneous gradient descent-ascent step: RCEG's extrapolation alone."""
-    _, _, w, z = _extrapolate(problem, state, grads)
-    current = problem.domain.join(w, z)
-    return SolverState(t=state.t + 1, current=current, extrapolated=current, eta=state.eta)
+    w, z = _extrapolate(problem, state, grads)
+    return SolverState(state.domain, state.t + 1, w, z, w, z, state.eta)
 
 
 _STEPPERS: dict[str, Callable] = {"rceg": rceg_step, "rgda": rgda_step}
@@ -357,13 +423,13 @@ _GAP_TOL = 1e-8
 _BEST_RESPONSE_SLACK = 1e-12
 
 
-def estimate_duality_gap(problem: MinimaxProblem, at: Point, max_iters: int = 10000) -> GapEstimate:
-    """Estimate ``max_y f(x^, y) - min_x f(x, y^)`` at a pair point.
+def estimate_duality_gap(problem: MinimaxProblem, x_hat: Point, y_hat: Point, max_iters: int = 10000) -> GapEstimate:
+    """Estimate ``max_y f(x^, y) - min_x f(x, y^)`` at the pair ``(x^, y^)``.
 
     Solves the ``y`` slice by :func:`riemannian_bb` ascent, started from
-    the given pair with a first trial step ``1 / (2 L)``. The ``x`` slice
-    is solved by the problem's ``best_response_x`` hook when it has one,
-    and otherwise by :func:`riemannian_bb` descent from the given pair.
+    ``y^`` with a first trial step ``1 / (2 L)``. The ``x`` slice is
+    solved by the problem's ``best_response_x`` hook when it has one, and
+    otherwise by :func:`riemannian_bb` descent from ``x^``.
     Each inner solver takes at most ``max_iters`` steps. The estimate is
     only trusted when both slice solutions drive their gradient norm to
     ``1e-8``, and a hook's answer must also be no worse than ``x^``
@@ -376,7 +442,8 @@ def estimate_duality_gap(problem: MinimaxProblem, at: Point, max_iters: int = 10
     if max_iters < 0:
         raise ParameterError(f"max_iters must be >= 0, got {max_iters}")
     mx, my = problem.manifold_x, problem.manifold_y
-    x_hat, y_hat = problem.domain.split(at)
+    mx._check_point(x_hat, "x_hat")
+    my._check_point(y_hat, "y_hat")
     eta = 1.0 / (2.0 * problem.smoothness())
     try:
         y_best, _ = riemannian_bb(
@@ -443,6 +510,11 @@ class RunResult:
     gap_diagnostic: str = ""
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # np.isfinite(a).all(), in half the time on the short arrays of a step.
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 # Distance from the initial pair beyond which a run is declared divergent,
 # as a multiple of the initial distance scale.
 _DIVERGENCE_FACTOR = 1e3
@@ -485,16 +557,20 @@ def run(
     if gap_every is not None and gap_every < 1:
         raise ParameterError(f"gap_every must be >= 1, got {gap_every}")
     step = _STEPPERS[algo]
-    prod = problem.domain
-    state = make_state(problem, start[0], start[1], resolve_step_size(problem, eta))
+    x0, y0 = start
+    state = make_state(problem, x0, y0, resolve_step_size(problem, eta))
     mx, my = problem.manifold_x, problem.manifold_y
     ref = problem.known_saddle
-    scale = max(1.0, prod.distance(state.current, prod.join(*ref))) if ref is not None else 1.0
 
     def dist_to_ref(x: Point, y: Point) -> float:
         # Product.distance of the pair points, from the factor points.
         return float(np.hypot(mx.distance(x, ref[0]), my.distance(y, ref[1])))
 
+    scale = 1.0
+    if ref is not None:
+        mx._check_point(ref[0], "known saddle x")
+        my._check_point(ref[1], "known saddle y")
+        scale = max(1.0, dist_to_ref(x0, y0))
     threshold = _DIVERGENCE_FACTOR * scale
 
     records: list[IterationRecord] = []
@@ -509,10 +585,10 @@ def run(
     gap_budget = max(10000, 10 * iters)
 
     def make_record(s: SolverState, grads: tuple[Tangent, Tangent]) -> IterationRecord:
-        x, y = prod.split(s.current)
+        x, y = s.x, s.y
         gap_val = None
         if gap_every is not None and s.t % gap_every == 0 and s.t > 0:
-            est = estimate_duality_gap(problem, s.current, gap_budget)
+            est = estimate_duality_gap(problem, x, y, gap_budget)
             if est.estimate is None:
                 gap_misses.append(est.diagnostic)
             gap_val = est.estimate
@@ -530,21 +606,21 @@ def run(
     far_x = far_y = 0.0
     for t in range(iters + 1):
         try:
-            grads = _pair_grads(problem, state.current)
+            grads = _pair_grads(problem, state.x, state.y)
             if t % record_every == 0 or t == iters:
                 records.append(make_record(state, grads))
             if t == iters:
                 break
             state = step(problem, state, grads)
-            if not np.isfinite(state.current.value).all():
+            x, y = state.x, state.y
+            if not (_all_finite(x.value) and _all_finite(y.value)):
                 raise NumericalError("iterate contains non-finite values")
             if keep_averages:
-                average = geodesic_average_update(prod, average, state.extrapolated, t)
+                average = geodesic_average_update(problem.domain, average, state.extrapolated, t)
                 averages.append((state.t, average))
             # The product distance from the start, as Product.distance
             # combines it, with each factor's distance kept for meta.json.
-            x, y = prod.split(state.current)
-            dx, dy = mx.distance(x, start[0]), my.distance(y, start[1])
+            dx, dy = mx.distance(x, x0), my.distance(y, y0)
             far_x, far_y = max(far_x, dx), max(far_y, dy)
             if float(np.hypot(dx, dy)) > threshold:
                 raise NumericalError(
@@ -557,7 +633,7 @@ def run(
             if t < iters and records and records[-1].t != state.t:
                 # best-effort terminal row so the trace shows where the run stopped
                 try:
-                    records.append(make_record(state, _pair_grads(problem, state.current)))
+                    records.append(make_record(state, _pair_grads(problem, state.x, state.y)))
                 except GeominimaxError:
                     pass
             break

@@ -396,6 +396,49 @@ class TestWrapping:
         assert not w.value.flags.writeable
 
 
+def loop_random_tangent(m, x, rng, norm):
+    """``random_tangent`` as a loop of ``out = out + c * e`` over the basis."""
+    basis = m.tangent_basis(x)
+    coeff = rng.standard_normal(len(basis))
+    if norm is not None:
+        coeff = coeff * (float(norm) / np.linalg.norm(coeff))
+    out = np.zeros_like(x.value)
+    for c, e in zip(coeff, basis):
+        out = out + c * e.value
+    return out
+
+
+class TestStackedBasis:
+    """``random_tangent`` sums its terms over the stacked basis with the bits
+    of the loop, and the SPD basis is built in one broadcast with the bits of
+    one outer product per pair."""
+
+    @pytest.mark.parametrize(
+        "m", [Euclidean(7), Sphere(5), Spd(1), Spd(3), Spd(10)] + manifolds_with_product()[-1:], ids=repr
+    )
+    def test_random_tangent_equals_the_loop(self, m):
+        for seed in range(4):
+            x = m.random_point(np.random.default_rng(70 + seed))
+            for norm in (None, 0.4):
+                v = m.random_tangent(x, np.random.default_rng(seed), norm=norm)
+                assert np.array_equal(v.value, loop_random_tangent(m, x, np.random.default_rng(seed), norm))
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_spd_basis_is_one_outer_product_per_pair(self, n):
+        m = Spd(n)
+        x = m.random_point(np.random.default_rng(n))
+        cols = [m._sqrt(x)[:, i] for i in range(n)]
+        expected = []
+        for i in range(n):
+            for j in range(i, n):
+                outer = np.outer(cols[i], cols[j])
+                expected.append(outer if i == j else (outer + outer.T) * (1.0 / np.sqrt(2.0)))
+        basis = m.tangent_basis(x)
+        assert len(basis) == len(expected) == m.dim
+        for e, ref in zip(basis, expected):
+            assert np.array_equal(e.value, ref) and e.value.flags.c_contiguous
+
+
 class TestProduct:
     def setup_method(self):
         self.m = Product(Sphere(3, math.pi / 4.0), Spd(2, 4.0))

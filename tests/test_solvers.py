@@ -1,6 +1,7 @@
 """Tests for the saddle solvers, geodesic averaging, and gap estimation."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from geominimax import (
     Spd,
     Sphere,
     StepTooLongError,
+    Tangent,
     certified_gap,
     estimate_duality_gap,
     euclidean_quadratic,
@@ -31,6 +33,7 @@ from geominimax import (
 from geominimax import solvers
 from geominimax.harness import ExperimentConfig, build_problem
 from geominimax.linalg import random_spd
+from geominimax.manifolds import Product
 
 
 def scalar_bilinear():
@@ -244,6 +247,79 @@ class TestStepsEqualTangentArithmetic:
             rceg_step(wrong, s)
         with pytest.raises(ContractError, match="tangent is based at a different point"):
             rceg_step(wrong, make_state(wrong, p.manifold_x.point([1.0]), p.manifold_y.point([1.0]), 0.5))
+
+
+class TestPairState:
+    """The state holds factor points; the product points are joined only
+    when read, and :func:`run` never reads them on its per-step path."""
+
+    def test_run_joins_no_more_for_more_iterations(self, monkeypatch):
+        joins = []
+        join = Product.join
+
+        def counted(self, pa, pb):
+            joins.append(1)
+            return join(self, pa, pb)
+
+        monkeypatch.setattr(Product, "join", counted)
+        rng = np.random.default_rng(53)
+        p = euclidean_quadratic(rng.standard_normal((4, 4)))
+        start = (p.manifold_x.point(rng.standard_normal(4)), p.manifold_y.point(rng.standard_normal(4)))
+        counts = []
+        for iters in (10, 1000):
+            joins.clear()
+            res = run(p, "rceg", iters=iters, start=start, eta=0.05, keep_averages=False)
+            assert res.status == "ok" and res.state.t == iters
+            counts.append(len(joins))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("algo", ["rceg", "rgda"])
+    def test_pairs_are_joined_once_on_read(self, algo):
+        p = scalar_bilinear()
+        s = make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([0.5]), 0.25)
+        assert s.extrapolated is None
+        s = solvers._STEPPERS[algo](p, solvers._STEPPERS[algo](p, s))
+        current = s.current
+        assert current == p.domain.join(s.x, s.y) and p.domain.split(current) == (s.x, s.y)
+        assert s.current is current
+        if algo == "rgda":
+            assert s.extrapolated is current
+        else:
+            extrapolated = s.extrapolated
+            assert extrapolated == p.domain.join(s.w, s.z) and extrapolated is not current
+            assert s.extrapolated is extrapolated
+
+    def test_state_is_read_only_and_pickles(self):
+        p = scalar_bilinear()
+        s = rceg_step(p, make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([0.5]), 0.25))
+        with pytest.raises(FrozenInstanceError):
+            s.x = s.y
+        for name in ("t", "current"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, None)
+        copy = pickle.loads(pickle.dumps(s))
+        assert (copy.t, copy.eta) == (s.t, s.eta)
+        for name in ("x", "y", "w", "z", "current", "extrapolated"):
+            assert np.array_equal(getattr(copy, name).value, getattr(s, name).value)
+
+    def test_state_validates_counter_and_step_size(self):
+        p = scalar_bilinear()
+        x, y = p.manifold_x.point([1.0]), p.manifold_y.point([0.5])
+        with pytest.raises(ParameterError):
+            solvers.SolverState(p.domain, -1, x, y, None, None, 0.1)
+        for eta in (0.0, -0.1, float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                make_state(p, x, y, eta)
+
+    def test_records_are_read_only_and_pickle(self):
+        p = scalar_bilinear()
+        res = run(p, "rceg", iters=2, start=(p.manifold_x.point([1.0]), p.manifold_y.point([0.5])), eta=0.25)
+        r = res.records[-1]
+        with pytest.raises(FrozenInstanceError):
+            r.value = 0.0
+        fields = solvers.IterationRecord.__slots__
+        copy = pickle.loads(pickle.dumps(r))
+        assert [getattr(copy, f) for f in fields] == [getattr(r, f) for f in fields]
 
 
 class TestRgdaStep:
@@ -552,27 +628,26 @@ class TestDualityGap:
         """A negative budget is a caller error, not an "inner solver failed"
         estimate."""
         p = scalar_bilinear()
-        at = p.domain.join(p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
         with pytest.raises(ParameterError):
-            estimate_duality_gap(p, at, max_iters=-1)
+            estimate_duality_gap(p, p.manifold_x.point([1.0]), p.manifold_y.point([1.0]), max_iters=-1)
 
     def test_zero_at_saddle_of_flat_bilinear(self):
         p = scalar_bilinear()
-        at = p.domain.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
-        est = estimate_duality_gap(p, at)
+        at = (p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
+        est = estimate_duality_gap(p, *at)
         assert est.estimate is not None
         assert est.estimate == pytest.approx(0.0, abs=1e-12)
-        assert certified_gap(p, *p.domain.split(at)) == pytest.approx(0.0, abs=1e-12)
+        assert certified_gap(p, *at) == pytest.approx(0.0, abs=1e-12)
 
     def test_unbounded_slice_reports_not_available(self):
         """Away from the saddle the bilinear slices are unbounded, so the
         inner solvers cannot converge and the estimate is withheld."""
         p = scalar_bilinear()
-        at = p.domain.join(p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
-        est = estimate_duality_gap(p, at, max_iters=200)
+        at = (p.manifold_x.point([1.0]), p.manifold_y.point([1.0]))
+        est = estimate_duality_gap(p, *at, max_iters=200)
         assert est.estimate is None
         assert est.diagnostic != ""
-        assert certified_gap(p, *p.domain.split(at)) is not None  # closed-form bound still exists
+        assert certified_gap(p, *at) is not None  # closed-form bound still exists
 
     def test_closed_form_on_decoupled_spd(self, monkeypatch):
         """Oracle: the gap of the decoupled problem at (x, y) is
@@ -585,7 +660,7 @@ class TestDualityGap:
         y = p.manifold_y.point(random_spd(3, 0.6, 1.8, rng))
         expected = 0.5 * p.manifold_x.distance(x, a) ** 2 + 0.5 * p.manifold_y.distance(y, b) ** 2
         calls = count_inner_solves(monkeypatch)
-        est = estimate_duality_gap(p, p.domain.join(x, y))
+        est = estimate_duality_gap(p, x, y)
         assert calls == [p.manifold_y, p.manifold_x]
         assert est.estimate is not None
         assert est.estimate == pytest.approx(expected, rel=1e-6, abs=1e-9)
@@ -597,7 +672,7 @@ class TestDualityGap:
         rng = np.random.default_rng(seed)
         data = [random_spd(n, 0.2, 4.5, rng) for _ in range(3)]
         p = robust_pca(data, alpha=1.0)
-        at = p.domain.join(p.manifold_x.random_point(rng), p.manifold_y.point(random_spd(n, 0.3, 4.0, rng)))
+        at = (p.manifold_x.random_point(rng), p.manifold_y.point(random_spd(n, 0.3, 4.0, rng)))
         return p, at
 
     def test_best_response_replaces_the_sphere_descent(self, monkeypatch):
@@ -605,10 +680,10 @@ class TestDualityGap:
         estimate agrees with the one that descends the sphere slice."""
         p, at = self.rpca_pair()
         calls = count_inner_solves(monkeypatch)
-        est = estimate_duality_gap(p, at)
+        est = estimate_duality_gap(p, *at)
         assert [type(m) for m in calls] == [Spd]
         calls.clear()
-        ref = estimate_duality_gap(replace(p, best_response_x=None), at)
+        ref = estimate_duality_gap(replace(p, best_response_x=None), *at)
         assert [type(m) for m in calls] == [Spd, Sphere]
         assert est.estimate is not None and ref.estimate is not None
         assert est.estimate == pytest.approx(ref.estimate, rel=1e-9)
@@ -620,9 +695,9 @@ class TestDualityGap:
         p, at = self.rpca_pair()
         mx, my = p.manifold_x, p.manifold_y
         wrong = replace(p, best_response_x=lambda m: mx.point(my._dec(m).q[:, -1]))
-        y = p.domain.split(at)[1]
+        y = at[1]
         assert mx.norm(p.grad_x(wrong.best_response_x(y), y)) <= 1e-8
-        est = estimate_duality_gap(wrong, at)
+        est = estimate_duality_gap(wrong, *at)
         assert est.estimate is None
         assert "best_response_x is not a minimizer" in est.diagnostic
 
@@ -630,7 +705,7 @@ class TestDualityGap:
         rng = np.random.default_rng(29)
         p = decoupled_spd(2, rng)
         a, b = p.known_saddle
-        est = estimate_duality_gap(p, p.domain.join(a, b))
+        est = estimate_duality_gap(p, a, b)
         assert est.estimate is not None
         assert est.estimate >= 0.0
 
@@ -647,7 +722,7 @@ class TestDualityGap:
         p = decoupled_spd(2, rng)
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        est = estimate_duality_gap(p, p.domain.join(x, y), max_iters=1)
+        est = estimate_duality_gap(p, x, y, max_iters=1)
         assert est.estimate is None
 
 
@@ -711,6 +786,24 @@ class TestRun:
         )
         assert res.status == "ok"
         assert res.records[-1].dist_to_ref < 0.1 * res.records[0].dist_to_ref
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iterate_ends_the_run(self, bad):
+        """Each factor of the new pair is checked for non-finite entries."""
+        p = euclidean_quadratic(np.eye(2))
+        grad_y, calls = p.grad_y, []
+
+        def poisoned_grad_y(x, y):
+            calls.append(1)
+            g = grad_y(x, y)
+            return Tangent(y, [g.value[0], bad]) if len(calls) == 5 else g
+
+        p.grad_y = poisoned_grad_y
+        start = (p.manifold_x.point([0.3, 0.1]), p.manifold_y.point([0.2, 0.4]))
+        res = run(p, "rceg", iters=10, start=start, eta=0.1)
+        assert res.status == "diverged" and res.diagnostic == "iterate contains non-finite values"
+        assert res.state.t == 3
 
     def test_rgda_divergence_detected(self):
         p = scalar_bilinear()
