@@ -345,23 +345,13 @@ def _format_cell(value) -> str:
 
 
 def write_trace(records, path: Path) -> None:
-    """Write the CSV trace with the fixed schema and 17-digit numbers."""
-    lines = [TRACE_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.t),
-                    _format_cell(r.value),
-                    _format_cell(r.grad_norm_x),
-                    _format_cell(r.grad_norm_y),
-                    _format_cell(r.dist_to_ref),
-                    _format_cell(r.gap_estimate),
-                    _format_cell(r.wall_ms),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    """Write the CSV trace with the fixed schema and 17-digit numbers,
+    one row per record in field order as it is formatted; ``None`` is an
+    empty cell."""
+    with path.open("w") as f:
+        f.write(TRACE_HEADER + "\n")
+        for t, value, gx, gy, dist, gap, wall in records:
+            f.write(f"{t},{value:.17g},{gx:.17g},{gy:.17g},{_format_cell(dist)},{_format_cell(gap)},{wall:.17g}\n")
 
 
 @dataclass(frozen=True)

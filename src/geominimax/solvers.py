@@ -29,7 +29,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,105 +63,64 @@ __all__ = [
 ]
 
 
-class SolverState:
+# SolverState's fields; the body of a NamedTuple may not define __new__.
+class _StateFields(NamedTuple):
+    domain: Product
+    t: int
+    x: Point
+    y: Point
+    w: Optional[Point]
+    z: Optional[Point]
+    eta: float
+
+
+class SolverState(_StateFields):
     """State of a saddle solver after ``t`` completed steps.
 
     The state holds factor points: ``x, y`` is the current pair
     ``(x_t, y_t)`` and ``w, z`` the last extrapolated pair ``(w_t, z_t)``
     (the current pair itself for RGDA, ``None`` before the first step).
-    ``current`` and ``extrapolated`` are those pairs as points of the
-    product manifold ``domain``, joined on first read and cached on the
-    state; nothing on :func:`run`'s per-step path reads them. Attributes
-    cannot be reassigned.
+    ``current`` and ``extrapolated`` join those pairs into points of the
+    product manifold ``domain`` on each read; nothing on :func:`run`'s
+    per-step path reads them. Attributes cannot be reassigned, and
+    construction, unpickling included, checks ``t`` and ``eta``.
     """
 
-    __slots__ = ("domain", "t", "x", "y", "w", "z", "eta", "_current", "_extrapolated")
+    __slots__ = ()
 
-    def __new__(
-        cls, domain: Product, t: int, x: Point, y: Point, w: Optional[Point], z: Optional[Point], eta: float
-    ):
+    def __new__(cls, domain, t, x, y, w, z, eta):
         if t < 0:
             raise ParameterError(f"iteration counter must be >= 0, got {t}")
         if not (eta > 0.0 and math.isfinite(eta)):
             raise ParameterError(f"step size must be positive and finite, got {eta!r}")
-        s = _new(cls)
-        _state_domain(s, domain)
-        _state_t(s, t)
-        _state_x(s, x)
-        _state_y(s, y)
-        _state_w(s, w)
-        _state_z(s, z)
-        _state_eta(s, eta)
-        return s
+        return tuple.__new__(cls, (domain, t, x, y, w, z, eta))
 
     __setattr__ = __delattr__ = _read_only
-
-    def __reduce__(self):
-        return SolverState, (self.domain, self.t, self.x, self.y, self.w, self.z, self.eta)
 
     @property
     def current(self) -> Point:
         """``(x, y)`` as a point of ``domain``."""
-        try:
-            return self._current
-        except AttributeError:
-            _state_current(self, self.domain.join(self.x, self.y))
-            return self._current
+        return self.domain.join(self.x, self.y)
 
     @property
     def extrapolated(self) -> Optional[Point]:
-        """``(w, z)`` as a point of ``domain``; ``current`` itself when the
-        pairs are the same points, ``None`` before the first step."""
-        if self.w is None:
-            return None
-        if self.w is self.x and self.z is self.y:
-            return self.current
-        try:
-            return self._extrapolated
-        except AttributeError:
-            _state_extrapolated(self, self.domain.join(self.w, self.z))
-            return self._extrapolated
+        """``(w, z)`` as a point of ``domain``, ``None`` before the first step."""
+        return None if self.w is None else self.domain.join(self.w, self.z)
 
 
-class IterationRecord:
-    """Diagnostics for one recorded iteration. Attributes cannot be reassigned."""
+class IterationRecord(NamedTuple):
+    """Diagnostics for one recorded iteration: the trace's columns, in
+    order. Attributes cannot be reassigned."""
 
-    __slots__ = ("t", "value", "grad_norm_x", "grad_norm_y", "dist_to_ref", "gap_estimate", "wall_ms")
-
-    def __new__(
-        cls,
-        t: int,
-        value: float,
-        grad_norm_x: float,
-        grad_norm_y: float,
-        dist_to_ref: Optional[float],
-        gap_estimate: Optional[float],
-        wall_ms: float,
-    ):
-        r = _new(cls)
-        _record_t(r, t)
-        _record_value(r, value)
-        _record_gx(r, grad_norm_x)
-        _record_gy(r, grad_norm_y)
-        _record_dist(r, dist_to_ref)
-        _record_gap(r, gap_estimate)
-        _record_wall(r, wall_ms)
-        return r
+    t: int
+    value: float
+    grad_norm_x: float
+    grad_norm_y: float
+    dist_to_ref: Optional[float]
+    gap_estimate: Optional[float]
+    wall_ms: float
 
     __setattr__ = __delattr__ = _read_only
-
-    def __reduce__(self):
-        return IterationRecord, tuple(getattr(self, name) for name in self.__slots__)
-
-
-# The slots are set through their descriptors, past the read-only __setattr__.
-_new = object.__new__
-(
-    _state_domain, _state_t, _state_x, _state_y, _state_w, _state_z, _state_eta, _state_current, _state_extrapolated
-) = (getattr(SolverState, name).__set__ for name in SolverState.__slots__)
-_record_t, _record_value, _record_gx, _record_gy, _record_dist, _record_gap, _record_wall = (
-    getattr(IterationRecord, name).__set__ for name in IterationRecord.__slots__
-)
 
 
 def make_state(problem: MinimaxProblem, x0: Point, y0: Point, eta: float) -> SolverState:

@@ -19,7 +19,9 @@ from geominimax.harness import (
     parse_config_text,
     run_experiment,
     serialize_config,
+    write_trace,
 )
+from geominimax.solvers import IterationRecord
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -191,6 +193,23 @@ class TestBuildProblem:
         problem, x0, lam0 = build_problem(cfg)
         np.testing.assert_array_equal(x0.value, np.eye(3))
         np.testing.assert_array_equal(lam0.value, np.zeros(1))
+
+
+class TestWriteTrace:
+    def test_exact_bytes(self, tmp_path):
+        """Every column, the header and the final newline, with empty cells
+        for None and numbers that need all 17 digits."""
+        records = [
+            IterationRecord(0, 0.1 + 0.2, 1 / 3, -0.0, None, None, 1e-300),
+            IterationRecord(20000, 7.0, 2.5, 1e-300, 1 / 3, -0.0, 12.345678901234567),
+        ]
+        path = tmp_path / "trace.csv"
+        write_trace(records, path)
+        assert path.read_bytes() == (
+            b"iter,value,grad_norm_x,grad_norm_y,dist_to_ref,gap_estimate,wall_ms\n"
+            b"0,0.30000000000000004,0.33333333333333331,-0,,,1e-300\n"
+            b"20000,7,2.5,1e-300,0.33333333333333331,-0,12.345678901234567\n"
+        )
 
 
 class TestRunExperiment:

@@ -31,7 +31,7 @@ from geominimax import (
     spd_bilinear,
 )
 from geominimax import solvers
-from geominimax.harness import ExperimentConfig, build_problem
+from geominimax.harness import TRACE_HEADER, ExperimentConfig, build_problem
 from geominimax.linalg import random_spd
 from geominimax.manifolds import Product
 
@@ -274,20 +274,15 @@ class TestPairState:
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("algo", ["rceg", "rgda"])
-    def test_pairs_are_joined_once_on_read(self, algo):
+    def test_pairs_are_joined_on_read(self, algo):
         p = scalar_bilinear()
         s = make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([0.5]), 0.25)
         assert s.extrapolated is None
         s = solvers._STEPPERS[algo](p, solvers._STEPPERS[algo](p, s))
-        current = s.current
-        assert current == p.domain.join(s.x, s.y) and p.domain.split(current) == (s.x, s.y)
-        assert s.current is current
-        if algo == "rgda":
-            assert s.extrapolated is current
-        else:
-            extrapolated = s.extrapolated
-            assert extrapolated == p.domain.join(s.w, s.z) and extrapolated is not current
-            assert s.extrapolated is extrapolated
+        current, extrapolated = s.current, s.extrapolated
+        assert current == p.domain.join(s.x, s.y) and extrapolated == p.domain.join(s.w, s.z)
+        assert all(a is b for a, b in zip(p.domain.split(current), (s.x, s.y)))
+        assert all(a is b for a, b in zip(p.domain.split(extrapolated), (s.w, s.z)))
 
     def test_state_is_read_only_and_pickles(self):
         p = scalar_bilinear()
@@ -317,7 +312,8 @@ class TestPairState:
         r = res.records[-1]
         with pytest.raises(FrozenInstanceError):
             r.value = 0.0
-        fields = solvers.IterationRecord.__slots__
+        fields = solvers.IterationRecord._fields
+        assert ",".join(fields) == TRACE_HEADER.replace("iter,", "t,", 1)
         copy = pickle.loads(pickle.dumps(r))
         assert [getattr(copy, f) for f in fields] == [getattr(r, f) for f in fields]
 
@@ -734,7 +730,7 @@ class TestRun:
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
         res = run(p, "rceg", iters=1, start=(x, y), eta=0.2, keep_averages=True)
         [(t, avg)] = res.averages
-        assert t == 1 and avg is res.state.extrapolated
+        assert t == 1 and avg == res.state.extrapolated
         assert res.status == "ok"
 
     def test_record_cadence_and_final_row(self):
