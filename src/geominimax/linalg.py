@@ -19,11 +19,7 @@ __all__ = [
     "symmetrize",
     "sym_eig",
     "spectral",
-    "daleckii_krein",
-    "log_divided",
-    "log_derivative",
-    "sqrt_divided",
-    "sqrt_derivative",
+    "log_divided_differences",
     "qr_orthonormal",
     "random_spd",
 ]
@@ -50,10 +46,6 @@ class SpectralDecomposition:
     q: np.ndarray
     eigenvalues: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return ``q @ diag(eigenvalues) @ q.T`` symmetrized."""
-        return symmetrize(spectral(self))
-
 
 def _as_square(a, name: str = "a") -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -75,7 +67,9 @@ def sym_eig(a) -> SpectralDecomposition:
     Eigenvalues are returned in descending order and each eigenvector is
     sign-normalized so that its first component of magnitude above 1e-12
     is positive. Ties between equal eigenvalues are therefore resolved
-    identically on every call with the same input.
+    identically on every call with the same input. That component is
+    read from the first row when every entry there clears 1e-12, as it
+    almost always does, and searched for only otherwise.
 
     ``numpy.linalg.eigh`` (looked up at call time) returns the eigenvalues
     in ascending order, so the descending order is its order reversed; no
@@ -117,14 +111,13 @@ def sym_eig(a) -> SpectralDecomposition:
             f"{np.linalg.norm(a):.6g}"
         ) from exc
     q = q[..., ::-1]
-    # Flip each column so its first sufficiently-nonzero entry is positive.
-    first = (np.abs(q) > 1e-12).argmax(axis=-2)
-    if a.ndim == 2:  # plain indexing: the single matrix is the hot path
-        lead = q[first, np.arange(q.shape[1])]
-    else:
-        lead = np.take_along_axis(q, first[..., None, :], axis=-2)
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    q = np.multiply(q, signs, order="F" if a.ndim == 2 else "C")
+    # Flip each column so that its first entry above 1e-12 in magnitude is
+    # positive. That entry is nonzero, so copysign gives its sign.
+    lead = q[..., 0, :]
+    if np.count_nonzero(np.abs(lead) > 1e-12) < lead.size:  # cheaper than .all()
+        big = np.abs(q) > 1e-12
+        lead = np.where(big & (big.cumsum(axis=-2) == 1), q, 0.0).sum(axis=-2)
+    q = np.multiply(q, np.copysign(1.0, lead)[..., None, :], order="F" if a.ndim == 2 else "C")
     return SpectralDecomposition(q=q, eigenvalues=lam[..., ::-1].copy())
 
 
@@ -143,59 +136,28 @@ def spectral(dec: SpectralDecomposition, f=None, inverse: bool = False) -> np.nd
 
 
 #: Relative eigenvalue gap at or below which two eigenvalues are treated as
-#: coincident by :func:`daleckii_krein`, which then uses ``f'`` at their mean.
+#: coincident by :func:`log_divided_differences`, which then uses ``log'``
+#: at their mean.
 COINCIDENT_GAP = 1e-12
 
 
-def daleckii_krein(dec: SpectralDecomposition, c: np.ndarray, divided, derivative) -> np.ndarray:
-    """Derivative of a spectral matrix function, ``q (gamma * (q.T c q)) q.T``.
+def log_divided_differences(lam: np.ndarray) -> np.ndarray:
+    """First divided differences of ``log`` on a positive spectrum.
 
-    For ``a = q diag(lam) q.T`` and a scalar function ``f``, this is the
-    Frechet derivative of ``f(a)`` in the direction ``c`` (the
-    Daleckii-Krein formula; Higham, *Functions of Matrices*, 2008, ch. 3).
-    ``gamma[i, j]`` is the first divided difference of ``f`` on
-    ``(lam_i, lam_j)``. The map is self-adjoint under the trace inner
-    product, so it also pulls a gradient with respect to ``f(a)`` back to
-    a gradient with respect to ``a``.
-
-    Parameters
-    ----------
-    dec : SpectralDecomposition
-        Eigendecomposition of ``a``.
-    c : ndarray, shape (n, n)
-        Symmetric direction (or gradient).
-    divided : callable (ndarray, ndarray) -> ndarray
-        Elementwise ``(f(u) - f(v)) / (u - v)`` for distinct ``u``, ``v``,
-        written in a form free of cancellation when ``u`` is close to ``v``.
-    derivative : callable ndarray -> ndarray
-        Elementwise ``f'``, used where two eigenvalues coincide to
-        :data:`COINCIDENT_GAP` relative.
+    Entry ``(i, j)`` is ``(log lam_i - log lam_j) / (lam_i - lam_j)``,
+    written as ``log1p((lam_i - lam_j) / lam_j) / (lam_i - lam_j)`` so
+    that it keeps its accuracy for close eigenvalues, and
+    ``1 / ((lam_i + lam_j) / 2)`` where the two coincide to
+    :data:`COINCIDENT_GAP` relative. For ``a = q diag(lam) q.T`` the
+    Frechet derivative of ``logm`` at ``a`` in the direction ``c`` is
+    ``q (L * (q.T c q)) q.T`` with this matrix ``L`` (the Daleckii-Krein
+    formula; Higham, *Functions of Matrices*, 2008, ch. 3).
     """
-    lam = dec.eigenvalues
-    u, v = np.meshgrid(lam, lam, indexing="ij")
-    apart = np.abs(u - v) > COINCIDENT_GAP * np.maximum(np.abs(u), np.abs(v))
-    gamma = derivative((u + v) / 2.0)
-    gamma[apart] = divided(u[apart], v[apart])
-    q = dec.q
-    return q @ (gamma * (q.T @ c @ q)) @ q.T
-
-
-def log_divided(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(log u - log v) / (u - v)`` for distinct positive ``u``, ``v``."""
-    return np.log1p((u - v) / v) / (u - v)
-
-
-def log_derivative(u: np.ndarray) -> np.ndarray:
-    return 1.0 / u
-
-
-def sqrt_divided(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(sqrt u - sqrt v) / (u - v)`` for positive ``u``, ``v``."""
-    return 1.0 / (np.sqrt(u) + np.sqrt(v))
-
-
-def sqrt_derivative(u: np.ndarray) -> np.ndarray:
-    return 0.5 / np.sqrt(u)
+    u, v = lam[:, None], lam[None, :]
+    diff = u - v
+    apart = np.abs(diff) > COINCIDENT_GAP * np.maximum(u, v)
+    out = 2.0 / (u + v)
+    return np.divide(np.log1p(diff / v), diff, out=out, where=apart)
 
 
 def qr_orthonormal(b) -> tuple[np.ndarray, np.ndarray]:

@@ -125,7 +125,8 @@ class Spd(Manifold):
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
         dec = self._conj_dec(x, v.value)
-        top = float(np.max(np.abs(dec.eigenvalues))) if self.n else 0.0
+        lam = dec.eigenvalues  # descending, so its largest magnitude is at one end
+        top = max(float(lam[0]), -float(lam[-1]))
         if top > _EXP_EIG_GUARD:
             raise StepTooLongError(
                 f"tangent is too long for the SPD exponential: leading conjugated "
@@ -140,12 +141,15 @@ class Spd(Manifold):
         """Eigendecomposition of ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.
 
         Raises ``DomainError`` naming the first member whose ``w`` is not
-        positive definite to the relative floor.
+        positive definite to the relative floor. A stack is checked in one
+        comparison, and searched member by member only when it fails.
         """
         dec = self._conj_dec(x, a)
         lam = dec.eigenvalues
+        if lam.ndim > 1 and (lam[..., -1] > POSITIVITY_FLOOR * np.maximum(1.0, lam[..., 0])).all():
+            return dec
         # Scalar checks: numpy ufuncs on one eigenvalue cost more than the check.
-        for member in [lam] if lam.ndim == 1 else lam:
+        for member in [lam] if lam.ndim == 1 else lam.reshape(-1, self.n):
             floor = POSITIVITY_FLOOR * max(1.0, float(member[0]))
             if member[-1] <= floor:
                 raise DomainError(
@@ -172,23 +176,17 @@ class Spd(Manifold):
             got = cache[id(a)] = (a, self._log_dec(x, a))
         return got[1]
 
-    def _log_parts(
-        self, x: Point, a: np.ndarray, dec: Optional[SpectralDecomposition] = None
-    ) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
-        """``(Log_x(a), log(w), eig(w))`` with ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.
-
-        ``dec`` is ``eig(w)`` when the caller has it already.
-        """
+    def _log_array(self, x: Point, a: np.ndarray, dec: Optional[SpectralDecomposition] = None) -> np.ndarray:
+        """``Log_x(a)`` for one target or a stack; ``dec`` is :meth:`_log_dec` of ``a`` when the caller has it."""
         self._check_point(x)
         if dec is None:
             dec = self._log_dec(x, a)
         sq = self._sqrt(x)
-        k = spectral(dec, np.log)
-        return symmetrize(sq @ k @ sq), k, dec
+        return symmetrize(sq @ spectral(dec, np.log) @ sq)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(y)
-        return Tangent._wrap(x, self._log_parts(x, y.value)[0])
+        return Tangent._wrap(x, self._log_array(x, y.value))
 
     def log_stack(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``Log_x(a_i)`` and ``||Log_x(a_i)||_x^2`` for a stack of SPD targets.
@@ -202,7 +200,7 @@ class Spd(Manifold):
         raises the same ``DomainError``. The targets must be symmetric, as
         :meth:`point` makes them; they are not validated here.
         """
-        logs = self._log_parts(x, targets)[0]
+        logs = self._log_array(x, targets)
         return logs, self._inner_array(x, logs, logs)
 
     def transport(self, v: Tangent, y: Point) -> Tangent:

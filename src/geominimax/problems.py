@@ -18,15 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .linalg import (
-    daleckii_krein,
-    log_derivative,
-    log_divided,
-    sqrt_derivative,
-    sqrt_divided,
-    sym_eig,
-    symmetrize,
-)
+from .linalg import SpectralDecomposition, log_divided_differences, sym_eig, symmetrize
 from .manifolds import Euclidean, Manifold, Point, Product, Spd, Sphere, Tangent
 
 __all__ = [
@@ -250,41 +242,46 @@ def _spd_distance_to_identity(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.log(lam)))
 
 
-def _bilinear_log(m: Spd, p: Point, target: Point, key: str):
-    """``(Log_p(target), log(w), eig(w))`` with ``w = p^{-1/2} target p^{-1/2}``, cached on ``p``."""
+def _bilinear_log(m: Spd, p: Point, target: Point, key: str) -> tuple[np.ndarray, SpectralDecomposition]:
+    """``(Log_p(target), eig(w))`` with ``w = p^{-1/2} target p^{-1/2}``, cached on ``p``."""
     got = p.cache.get(key)
     if got is None:
-        got = p.cache[key] = m._log_parts(p, target.value, m._log_dec_to(p, target))
+        wdec = m._log_dec_to(p, target)
+        got = p.cache[key] = (m._log_array(p, target.value, wdec), wdec)
     return got
 
 
-def _bilinear_grad(m: Spd, p: Point, log_parts, b: np.ndarray) -> Tangent:
-    """Riemannian gradient at ``p`` of ``tr(Log_p(target) b)``; see :func:`spd_bilinear`."""
-    _, k, wdec = log_parts
-    s, s_inv = m._sqrt(p), m._isqrt(p)
-    w = wdec.reconstruct()
-    adj = daleckii_krein(wdec, s @ b @ s, log_divided, log_derivative)
-    half = k @ s @ b - w @ adj @ s_inv
-    g = daleckii_krein(m._dec(p), half + half.T, sqrt_divided, sqrt_derivative)
-    return Tangent._wrap(p, symmetrize(p.value @ g @ p.value))
+def _bilinear_grad(m: Spd, p: Point, wdec: SpectralDecomposition, b: np.ndarray) -> Tangent:
+    """Riemannian gradient at ``p`` of ``tr(Log_p(target) b)``, from ``eig(w)``; see :func:`spd_bilinear`."""
+    lam = wdec.eigenvalues
+    log_lam = np.log(lam)
+    mean_log = (log_lam[:, None] + log_lam) / 2.0
+    weights = mean_log - log_divided_differences(lam) * ((lam[:, None] + lam) / 2.0)
+    pq = m._sqrt(p) @ wdec.q
+    return Tangent._wrap(p, symmetrize(pq @ (weights * (pq.T @ b @ pq)) @ pq.T))
 
 
 def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProblem:
     """Curved bilinear analogue ``f(x, y) = tr(Log_x(x0) Log_y(y0))`` on SPD x SPD.
 
     ``(x0, y0)`` is the saddle point, with value 0 there. Gradients are in
-    closed form. Write ``Log_x(x0) = s K s`` with ``s = x^{1/2}``,
-    ``w = s^{-1} x0 s^{-1}`` and ``K = log(w)``, and ``B = Log_y(y0)``.
-    The Euclidean gradient of ``tr(Log_x(x0) B)`` in ``x`` is the adjoint
-    of that chain of matrix functions:
+    closed form, from the eigendecomposition the value already needs.
+    Write ``Log_x(x0) = s K s`` with ``s = x^{1/2}``,
+    ``w = s^{-1} x0 s^{-1} = Q diag(lam) Q^T``, ``K = log(w)`` and
+    ``B = Log_y(y0)``. The Riemannian gradient of ``tr(Log_x(x0) B)`` in
+    ``x`` is
 
-        P = Dlog(w)[s B s]
-        H = K s B + B s K - w P s^{-1} - s^{-1} P w
-        G = Dsqrt(x)[H]
+        G = P (M * (P^T B P)) P^T,    P = s Q,
+        M_ij = (log lam_i + log lam_j) / 2 - L_ij (lam_i + lam_j) / 2,
 
-    where ``Dlog`` and ``Dsqrt`` are Daleckii-Krein derivatives
-    (:func:`~geominimax.linalg.daleckii_krein`), and the Riemannian
-    gradient is ``x G x``. ``grad_y`` swaps the roles of the two blocks.
+    with ``*`` the entrywise product and ``L`` the divided differences of
+    ``log`` on ``lam`` (:func:`~geominimax.linalg.log_divided_differences`).
+    Derivation: moving ``x`` along ``s e^{t Xi} s`` with the factor
+    ``g(t) = s e^{t Xi / 2}``, affine invariance gives
+    ``D Log_x(x0)[s Xi s] = s ((Xi K + K Xi) / 2 - Dlog(w)[(Xi w + w Xi) / 2]) s``,
+    which in ``w``'s eigenbasis is ``M`` times ``Q^T Xi Q`` entrywise;
+    pairing it with ``B`` and reading off the affine-invariant metric
+    gives ``G``. ``grad_y`` swaps the roles of the two blocks.
     ``check gradients`` compares both against central differences
     (:func:`numeric_riemannian_grad`).
 
@@ -320,10 +317,10 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
         return float(np.einsum("ij,ji->", log_x(x)[0], log_y(y)[0]))
 
     def grad_x(x: Point, y: Point) -> Tangent:
-        return _bilinear_grad(mx, x, log_x(x), log_y(y)[0])
+        return _bilinear_grad(mx, x, log_x(x)[1], log_y(y)[0])
 
     def grad_y(x: Point, y: Point) -> Tangent:
-        return _bilinear_grad(my, y, log_y(y), log_x(x)[0])
+        return _bilinear_grad(my, y, log_y(y)[1], log_x(x)[0])
 
     return MinimaxProblem(
         name="spd_bilinear",

@@ -83,7 +83,8 @@ class SolverState(_StateFields):
     ``current`` and ``extrapolated`` join those pairs into points of the
     product manifold ``domain`` on each read; nothing on :func:`run`'s
     per-step path reads them. Attributes cannot be reassigned, and
-    construction, unpickling included, checks ``t`` and ``eta``.
+    construction, unpickling, ``_make`` and ``_replace`` included, checks
+    ``t`` and ``eta``.
     """
 
     __slots__ = ()
@@ -94,6 +95,9 @@ class SolverState(_StateFields):
         if not (eta > 0.0 and math.isfinite(eta)):
             raise ParameterError(f"step size must be positive and finite, got {eta!r}")
         return tuple.__new__(cls, (domain, t, x, y, w, z, eta))
+
+    # The inherited _make, which _replace calls, skips __new__.
+    _make = classmethod(lambda cls, it: cls(*it))
 
     __setattr__ = __delattr__ = _read_only
 

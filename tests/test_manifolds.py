@@ -235,6 +235,22 @@ class TestSpdLogStack:
         assert "not positive definite relative to the base" in str(single.value)
         assert str(stacked.value) == str(single.value)
 
+    def test_first_of_two_non_positive_members_is_named(self):
+        m = Spd(3)
+        x = m.point(np.diag([1.0, 100.0, 1.0]))
+        good = m.point(np.diag([2.0, 1.0, 0.5]))
+        bad = [m.point(np.diag([1.0, 1e-11, 1.0])), m.point(np.diag([1.0, 3e-11, 1.0]))]
+        messages = []
+        for b in bad:
+            with pytest.raises(DomainError) as single:
+                m.log(x, b)
+            messages.append(str(single.value))
+        assert messages[0] != messages[1]
+        for first, second, message in ((bad[0], bad[1], messages[0]), (bad[1], bad[0], messages[1])):
+            with pytest.raises(DomainError) as stacked:
+                m.log_stack(x, np.stack([good.value, first.value, good.value, second.value]))
+            assert str(stacked.value) == message
+
 
 class TestSharedProperties:
     def test_exp_log_round_trip(self):

@@ -5,7 +5,7 @@ import pytest
 
 from geominimax.errors import NumericalError, ParameterError
 from geominimax.harness import ExperimentConfig, build_problem
-from geominimax.linalg import random_spd, symmetrize
+from geominimax.linalg import random_spd, spectral, sym_eig, symmetrize
 from geominimax.manifolds import Euclidean, Spd, Sphere
 from geominimax.problems import (
     augmented_lagrangian,
@@ -129,7 +129,62 @@ def diag_spd_log(x_diag, y_diag):
     return x_diag * np.log(y_diag / x_diag)
 
 
+def daleckii_krein(dec, c, divided, derivative):
+    """Frechet derivative ``q (gamma * (q.T c q)) q.T`` of a spectral matrix
+    function, ``gamma`` its divided differences on the eigenvalues of ``dec``
+    (``derivative`` at the mean of two that coincide to 1e-12 relative)."""
+    lam = dec.eigenvalues
+    u, v = np.meshgrid(lam, lam, indexing="ij")
+    apart = np.abs(u - v) > 1e-12 * np.maximum(np.abs(u), np.abs(v))
+    gamma = derivative((u + v) / 2.0)
+    gamma[apart] = divided(u[apart], v[apart])
+    return dec.q @ (gamma * (dec.q.T @ c @ dec.q)) @ dec.q.T
+
+
+def chained_bilinear_grad(m, p, target, b):
+    """Riemannian gradient at ``p`` of ``tr(Log_p(target) b)`` as the adjoint
+    of its chain of matrix functions, ``Dlog(w)`` and then ``Dsqrt(x)``: the
+    reference for the closed form of ``spd_bilinear``."""
+    s, s_inv = m._sqrt(p), m._isqrt(p)
+    wdec = sym_eig(s_inv @ target @ s_inv)
+    adj = daleckii_krein(wdec, s @ b @ s, lambda u, v: np.log1p((u - v) / v) / (u - v), lambda u: 1.0 / u)
+    half = spectral(wdec, np.log) @ s @ b - symmetrize(spectral(wdec)) @ adj @ s_inv
+    g = daleckii_krein(
+        m._dec(p), half + half.T, lambda u, v: 1.0 / (np.sqrt(u) + np.sqrt(v)), lambda u: 0.5 / np.sqrt(u)
+    )
+    return symmetrize(p.value @ g @ p.value)
+
+
 class TestSpdBilinear:
+    @staticmethod
+    def assert_matches_chain(prob, x, y):
+        """Both closed-form gradients equal the chained reference to 1e-12 relative."""
+        (xs, ys), mx, my = prob.known_saddle, prob.manifold_x, prob.manifold_y
+        for m, p, got, target, b in (
+            (mx, x, prob.grad_x(x, y), xs, my.log(y, ys).value),
+            (my, y, prob.grad_y(x, y), ys, mx.log(x, xs).value),
+        ):
+            want = chained_bilinear_grad(m, p, target.value, b)
+            assert np.linalg.norm(got.value - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_gradient_matches_the_daleckii_krein_chain(self, n):
+        rng = np.random.default_rng(80 + n)
+        prob = spd_bilinear(random_spd(n, 0.5, 2.0, rng), random_spd(n, 0.5, 2.0, rng))
+        for _ in range(5):
+            self.assert_matches_chain(prob, prob.manifold_x.random_point(rng), prob.manifold_y.random_point(rng))
+
+    def test_gradient_matches_the_chain_where_every_pair_coincides(self):
+        # At x = 2 x0 the conjugated matrix w is I / 2, so every divided
+        # difference takes its limit; the same holds for y.
+        rng = np.random.default_rng(86)
+        prob = spd_bilinear(random_spd(6, 0.5, 2.0, rng), random_spd(6, 0.5, 2.0, rng))
+        (xs, ys), mx, my = prob.known_saddle, prob.manifold_x, prob.manifold_y
+        x, y = mx.point(2.0 * xs.value), my.point(2.0 * ys.value)
+        lam = mx._log_dec_to(x, xs).eigenvalues
+        assert np.ptp(lam) <= 1e-12 * lam[0] and lam[0] == pytest.approx(0.5)
+        self.assert_matches_chain(prob, x, y)
+
     def test_saddle_value_and_gradients(self):
         rng = np.random.default_rng(6)
         prob = spd_bilinear(random_spd(3, 0.5, 2.0, rng), random_spd(3, 0.5, 2.0, rng))
@@ -231,6 +286,7 @@ class TestSpdBilinear:
         w = np.linalg.eigvalsh(prob.manifold_x._isqrt(x) @ prob.known_saddle[0].value @ prob.manifold_x._isqrt(x))
         assert np.min(np.diff(w)) < 1e-11
         assert self.worst_oracle_gap(prob, [(x, y)]) <= 1e-6
+        self.assert_matches_chain(prob, x, y)
 
     def test_run_uses_no_finite_differences(self, monkeypatch):
         import geominimax.problems as problems
@@ -244,6 +300,32 @@ class TestSpdBilinear:
         start = (prob.manifold_x.identity(), prob.manifold_y.identity())
         res = run(prob, "rceg", iters=20, start=start, eta=0.2)
         assert res.status == "ok"
+
+    def test_sixteen_eigendecompositions_per_rceg_step(self, monkeypatch):
+        """A step makes four SPD points, each with two ``eigh``: the
+        exponential's and the new point's own (8). Each then takes a
+        logarithm toward the saddle, shared by the value, the gradient and
+        ``dist_to_ref`` (4). The correction's ``Log_w(x)`` (2) and the new
+        pair's distances from the start (2) make 16. The start costs two,
+        one logarithm toward the saddle per factor."""
+        rng = np.random.default_rng(42)
+        prob = spd_bilinear(random_spd(6, 0.8, 1.25, rng), random_spd(6, 0.8, 1.25, rng))
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        counts = []
+        for iters in (1, 10, 25):
+            start = (prob.manifold_x.identity(), prob.manifold_y.identity())
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counted)
+                assert run(prob, "rceg", iters=iters, start=start, eta=0.2).status == "ok"
+            counts.append(len(calls))
+        assert counts == [2 + 16 * iters for iters in (1, 10, 25)]
 
     def test_distance_to_the_saddle_reuses_the_gradient_decomposition(self, monkeypatch):
         """After a gradient at ``(x, y)``, the distance of each factor to the

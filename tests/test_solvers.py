@@ -306,6 +306,17 @@ class TestPairState:
             with pytest.raises(ParameterError):
                 make_state(p, x, y, eta)
 
+    def test_replace_and_make_validate_too(self):
+        p = scalar_bilinear()
+        s = make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([0.5]), 0.25)
+        for change in ({"t": -1}, {"eta": float("nan")}):
+            with pytest.raises(ParameterError):
+                s._replace(**change)
+        with pytest.raises(ParameterError):
+            solvers.SolverState._make([p.domain, -1, s.x, s.y, None, None, 0.25])
+        moved = s._replace(t=3)
+        assert type(moved) is solvers.SolverState and moved.t == 3 and moved.x is s.x
+
     def test_records_are_read_only_and_pickle(self):
         p = scalar_bilinear()
         res = run(p, "rceg", iters=2, start=(p.manifold_x.point([1.0]), p.manifold_y.point([0.5])), eta=0.25)
