@@ -26,6 +26,7 @@ Targets
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,7 @@ def _check_product_componentwise(trials: int, rng: np.random.Generator) -> Check
             float(np.max(np.abs(pa.value - a.exp(xa, va).value))),
             float(np.max(np.abs(pb.value - b.exp(xb, vb).value))),
         )
-        dist = abs(prod.distance(x, moved) - float(np.hypot(a.distance(xa, pa), b.distance(xb, pb))))
+        dist = abs(prod.distance(x, moved) - math.hypot(a.distance(xa, pa), b.distance(xb, pb)))
         worst = max(worst, diff, dist)
     return CheckLine("product.componentwise_exact", trials, worst, worst == 0.0)
 

@@ -329,8 +329,9 @@ def build_problem(cfg: ExperimentConfig) -> tuple[MinimaxProblem, Point, Point]:
         data = generate_dataset(cfg.n, cfg.k, cfg.mu, cfg.l, cfg.seed)
         problem = robust_pca(data, alpha=float(cfg.alpha))
         mean = np.mean(data, axis=0)
-        dec = sym_eig(mean)
-        x0 = problem.manifold_x.point(dec.q[:, 0])
+        # eigh leaves the sign open: make the first entry above 1e-12 positive.
+        lead = sym_eig(mean).q[:, 0]
+        x0 = problem.manifold_x.point(lead * np.copysign(1.0, lead[np.argmax(np.abs(lead) > 1e-12)]))
         y0 = problem.manifold_y.point(mean)
         return problem, x0, y0
     if cfg.problem == "augmented_lagrangian":

@@ -199,6 +199,11 @@ class Manifold(ABC):
     def log(self, x: Point, y: Point) -> Tangent:
         """Inverse of :meth:`exp`: the tangent at ``x`` whose geodesic reaches ``y``."""
 
+    def _reverse_velocity(self, y: Point) -> Tangent:
+        """``Log_y(x)`` for ``y = exp(x, v)``: minus the end velocity of the
+        geodesic ``exp`` walked, from what it left in ``y.cache["geodesic"]``."""
+        raise NotImplementedError(f"{self.name} has no reverse geodesic velocity")
+
     @abstractmethod
     def transport(self, v: Tangent, y: Point) -> Tangent:
         """Parallel transport of ``v`` along the geodesic from its base to ``y``."""

@@ -57,7 +57,12 @@ class Euclidean(Manifold):
 
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
-        return Point._wrap(self, x.value + v.value)
+        y = Point._wrap(self, x.value + v.value)
+        y.cache["geodesic"] = v.value
+        return y
+
+    def _reverse_velocity(self, y: Point) -> Tangent:
+        return Tangent._wrap(y, -y.cache["geodesic"])
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ParameterError
@@ -119,7 +121,7 @@ class Product(Manifold):
     def distance(self, x: Point, y: Point) -> float:
         xa, xb = self.split(x)
         ya, yb = self.split(y)
-        return float(np.hypot(self.a.distance(xa, ya), self.b.distance(xb, yb)))
+        return math.hypot(self.a.distance(xa, ya), self.b.distance(xb, yb))
 
     def _basis_array(self, x: Point) -> np.ndarray:
         pa, pb = self.split(x)

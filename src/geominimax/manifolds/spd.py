@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -135,7 +136,13 @@ class Spd(Manifold):
         sq = self._sqrt(x)
         y = Point._wrap(self, symmetrize(sq @ spectral(dec, np.exp) @ sq))
         self._dec(y)  # a step can underflow to a singular matrix; reject it here
+        y.cache["geodesic"] = (sq, dec)
         return y
+
+    def _reverse_velocity(self, y: Point) -> Tangent:
+        # Minus the velocity at t = 1 of x^{1/2} expm(t A) x^{1/2}, A = x^{-1/2} v x^{-1/2}.
+        sq, dec = y.cache["geodesic"]
+        return Tangent._wrap(y, symmetrize(sq @ spectral(dec, lambda lam: -lam * np.exp(lam)) @ sq))
 
     def _log_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.
@@ -211,8 +218,9 @@ class Spd(Manifold):
         return Tangent._wrap(y, symmetrize(e @ v.value @ e.T))
 
     def distance(self, x: Point, y: Point) -> float:
-        dec = self._log_dec_to(x, y)
-        return float(np.linalg.norm(np.log(dec.eigenvalues)))
+        # np.linalg.norm of a 1-D float array is sqrt(l.dot(l)): same bits.
+        l = np.log(self._log_dec_to(x, y).eigenvalues)
+        return math.sqrt(l.dot(l))
 
     def _basis_array(self, x: Point) -> np.ndarray:
         """Closed-form orthonormal basis ``x^{1/2} S x^{1/2}``.

@@ -72,9 +72,18 @@ class Sphere(Manifold):
                 f"tangent norm {theta:.6g} exceeds the sphere exp guard {self.exp_guard:.6g}"
             )
         if theta < 1e-16:
-            return Point._wrap(self, x.value.copy())
-        out = math.cos(theta) * x.value + (math.sin(theta) / theta) * v.value
-        return Point._wrap(self, out / math.sqrt(out.dot(out)))
+            y = Point._wrap(self, x.value.copy())
+        else:
+            out = math.cos(theta) * x.value + (math.sin(theta) / theta) * v.value
+            y = Point._wrap(self, out / math.sqrt(out.dot(out)))
+        y.cache["geodesic"] = (x.value, v.value, theta)
+        return y
+
+    def _reverse_velocity(self, y: Point) -> Tangent:
+        # Minus the velocity at t = 1 of cos(t theta) x + sin(t theta) u, u = v / theta.
+        x, v, theta = y.cache["geodesic"]
+        u = v / theta if theta else v  # theta = 0 only for v = 0
+        return Tangent._wrap(y, theta * (math.sin(theta) * x - math.cos(theta) * u))
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)

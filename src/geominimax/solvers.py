@@ -9,12 +9,14 @@ point, the update behaves exactly like its Euclidean counterpart:
     x+ = Exp_w(-eta grad_x f(w, z) + Log_w(x))
     y+ = Exp_z(+eta grad_y f(w, z) + Log_z(y))
 
-which satisfies ``Log_w(x+) = Log_w(x) - eta grad_x f(w, z)``. The
-first stage alone is the descent-ascent baseline (RGDA), which is
-divergent on bilinear-type couplings. The steppers only step: the
-geodesic running mean of the extrapolated pairs, which the ergodic rate
-statement is about, is folded by :func:`run` under
-``run(..., keep_averages=True)``.
+which satisfies ``Log_w(x+) = Log_w(x) - eta grad_x f(w, z)``.
+``Log_w(x)`` is minus the end velocity of the extrapolation's geodesic,
+which the manifold reads from what ``exp`` left on ``w``, so no
+logarithm is taken. The first stage alone is the descent-ascent
+baseline (RGDA), which is divergent on bilinear-type couplings. The
+steppers only step: the geodesic running mean of the extrapolated
+pairs, which the ergodic rate statement is about, is folded by
+:func:`run` under ``run(..., keep_averages=True)``.
 
 Each player moves on its own manifold, so a :class:`SolverState` holds
 the factor points, and the steppers, the trace rows, the drift check and
@@ -31,8 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from .curvature import manifold_tau, rceg_step_size
 from .errors import (
     DomainError,
@@ -41,6 +41,7 @@ from .errors import (
     ParameterError,
     StepTooLongError,
 )
+from .linalg import all_finite
 from .manifolds import Manifold, Point, Product, Tangent
 from .manifolds.base import _read_only
 from .problems import MinimaxProblem
@@ -172,19 +173,18 @@ def _pair_grads(problem: MinimaxProblem, x: Point, y: Point) -> tuple[Tangent, T
     return problem.grad_x(x, y), problem.grad_y(x, y)
 
 
-def _step_along(m: Manifold, p: Point, g: Tangent, scale: float, back_to: Optional[Point] = None) -> Point:
-    """``Exp_p(scale g)``, or ``Exp_p(scale g + Log_p(back_to))``.
+def _step_along(m: Manifold, p: Point, g: Tangent, scale: float, back: Optional[Tangent] = None) -> Point:
+    """``Exp_p(scale g)``, or ``Exp_p(scale g + back)``.
 
     The tangent is formed once from the arrays, by the operations of
-    ``scale * g + m.log(p, back_to)`` in their order, so with the same
-    bits, and with the same checks: both terms share a base, and ``exp``
-    checks that it is ``p``.
+    ``scale * g + back`` in their order, so with the same bits, and with
+    the same checks: both terms share a base, and ``exp`` checks that it
+    is ``p``.
     """
     v = g.value * scale
-    if back_to is not None:
-        log = m.log(p, back_to)
-        g._check_same_base(log)
-        v = v + log.value
+    if back is not None:
+        g._check_same_base(back)
+        v = v + back.value
     return m.exp(p, Tangent._wrap(g.base, v))
 
 
@@ -202,18 +202,20 @@ def rceg_step(
     state: SolverState,
     grads: Optional[tuple[Tangent, Tangent]] = None,
 ) -> SolverState:
-    """One corrected extragradient step.
+    """One corrected extragradient step, its correction ``Log_w(x)`` taken
+    from the extrapolation's geodesic (``_reverse_velocity``), not a log.
 
     ``grads`` may carry precomputed gradients at the current pair (they
     are recomputed otherwise); the harness uses this to share one
     gradient evaluation between diagnostics and the step.
     """
     eta = state.eta
+    mx, my = problem.manifold_x, problem.manifold_y
     w, z = _extrapolate(problem, state, grads)
     gxw = problem.grad_x(w, z)
     gyz = problem.grad_y(w, z)
-    x1 = _step_along(problem.manifold_x, w, gxw, -eta, state.x)
-    y1 = _step_along(problem.manifold_y, z, gyz, eta, state.y)
+    x1 = _step_along(mx, w, gxw, -eta, mx._reverse_velocity(w))
+    y1 = _step_along(my, z, gyz, eta, my._reverse_velocity(z))
     return SolverState(state.domain, state.t + 1, x1, y1, w, z, eta)
 
 
@@ -473,11 +475,6 @@ class RunResult:
     gap_diagnostic: str = ""
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    # np.isfinite(a).all(), in half the time on the short arrays of a step.
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
 # Distance from the initial pair beyond which a run is declared divergent,
 # as a multiple of the initial distance scale.
 _DIVERGENCE_FACTOR = 1e3
@@ -527,7 +524,7 @@ def run(
 
     def dist_to_ref(x: Point, y: Point) -> float:
         # Product.distance of the pair points, from the factor points.
-        return float(np.hypot(mx.distance(x, ref[0]), my.distance(y, ref[1])))
+        return math.hypot(mx.distance(x, ref[0]), my.distance(y, ref[1]))
 
     scale = 1.0
     if ref is not None:
@@ -576,7 +573,7 @@ def run(
                 break
             state = step(problem, state, grads)
             x, y = state.x, state.y
-            if not (_all_finite(x.value) and _all_finite(y.value)):
+            if not (all_finite(x.value) and all_finite(y.value)):
                 raise NumericalError("iterate contains non-finite values")
             if keep_averages:
                 average = geodesic_average_update(problem.domain, average, state.extrapolated, t)
@@ -585,7 +582,7 @@ def run(
             # combines it, with each factor's distance kept for meta.json.
             dx, dy = mx.distance(x, x0), my.distance(y, y0)
             far_x, far_y = max(far_x, dx), max(far_y, dy)
-            if float(np.hypot(dx, dy)) > threshold:
+            if math.hypot(dx, dy) > threshold:
                 raise NumericalError(
                     f"current pair drifted more than {threshold:.3g} from the start "
                     f"(divergence threshold {_DIVERGENCE_FACTOR:.0e} x initial scale)"

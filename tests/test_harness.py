@@ -182,6 +182,30 @@ class TestBuildProblem:
         cos = abs(mx @ x0.value) / np.linalg.norm(mx)
         assert cos == pytest.approx(1.0, abs=1e-10)
 
+    def test_robust_pca_start_sign_and_bits(self, monkeypatch):
+        """``sym_eig`` keeps LAPACK's eigenvector signs, so the start fixes
+        its own: the first entry above 1e-12 in magnitude is positive. The
+        shipped configs then start where they always have, bit for bit,
+        and flipping the sign ``eigh`` returns moves nothing."""
+        cfg = parse_config(CONFIGS / "robust_pca_a2.cfg")
+        _, x0, _ = build_problem(cfg)
+        lead = x0.value[np.argmax(np.abs(x0.value) > 1e-12)]
+        assert lead > 0.0
+        pinned = [
+            "0x1.b08d87b629c34p-3", "0x1.7013ed76d4bfdp-10", "-0x1.9786cb4592dc6p-2", "0x1.ae37068275b7ep-3",
+            "-0x1.8eb0b725c8fe8p-5", "-0x1.9d29eab7318e9p-2", "0x1.6f7e212b7f4b9p-2", "-0x1.4d068216ba9cdp-1",
+            "-0x1.83aaeac7ff264p-3", "0x1.f3d0583eeaa8ap-9",
+        ]
+        assert [v.hex() for v in x0.value.tolist()] == pinned
+        eigh = np.linalg.eigh
+
+        def flipped(a):
+            lam, q = eigh(a)
+            return lam, -q
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        assert np.array_equal(build_problem(cfg)[1].value, x0.value)
+
     def test_same_seed_same_problem_data(self):
         cfg = parse_config_text(MINIMAL)
         p1, _, _ = build_problem(cfg)

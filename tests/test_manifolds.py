@@ -252,6 +252,62 @@ class TestSpdLogStack:
             assert str(stacked.value) == message
 
 
+class TestReverseVelocity:
+    """``_reverse_velocity(exp(x, v))`` is ``Log_w(x)`` for ``w = exp(x, v)``,
+    taken from the geodesic ``exp`` walked instead of a logarithm. Steps
+    are at least 0.01 long: below that the logarithm, which cancels, is
+    the less accurate side (relative error about 1e-16 over the length)."""
+
+    @staticmethod
+    def rel_err(m, w, x):
+        got = m._reverse_velocity(w)
+        want = m.log(w, x)
+        assert got.base is w
+        return m.norm(got - want) / m.norm(want)
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_spd(self, n):
+        from geominimax.linalg import random_spd
+
+        m = Spd(n)
+        rng = np.random.default_rng(120 + n)
+        for _ in range(10):
+            x = m.point(random_spd(n, 0.2, 4.5, rng))
+            for length in (0.1, 0.5, 2.0, 5.0):
+                v = m.random_tangent(x, rng, norm=length)
+                assert self.rel_err(m, m.exp(x, v), x) < 1e-11
+
+    @pytest.mark.parametrize("theta", [0.01, 0.1, 0.7, 1.5, 2.5, 3.0])
+    def test_sphere(self, theta):
+        m = Sphere(20)
+        rng = np.random.default_rng(130)
+        for _ in range(10):
+            x = m.random_point(rng)
+            v = m.random_tangent(x, rng, norm=theta)
+            assert self.rel_err(m, m.exp(x, v), x) < 1e-12
+
+    def test_euclidean(self):
+        m = Euclidean(5)
+        rng = np.random.default_rng(140)
+        for _ in range(10):
+            x = m.random_point(rng)
+            v = m.random_tangent(x, rng, norm=3.0)
+            assert np.array_equal(m._reverse_velocity(m.exp(x, v)).value, -v.value)
+            assert self.rel_err(m, m.exp(x, v), x) < 1e-14
+
+    def test_zero_step(self):
+        for m in make_all():
+            x = m.random_point(np.random.default_rng(150))
+            w = m.exp(x, m.zero_tangent(x))
+            assert m.norm(m._reverse_velocity(w)) == 0.0
+
+    def test_product_has_none(self):
+        m = Product(Sphere(3), Euclidean(2))
+        x = m.random_point(np.random.default_rng(160))
+        with pytest.raises(NotImplementedError):
+            m._reverse_velocity(m.exp(x, m.zero_tangent(x)))
+
+
 class TestSharedProperties:
     def test_exp_log_round_trip(self):
         for m in make_all():

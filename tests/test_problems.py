@@ -301,13 +301,14 @@ class TestSpdBilinear:
         res = run(prob, "rceg", iters=20, start=start, eta=0.2)
         assert res.status == "ok"
 
-    def test_sixteen_eigendecompositions_per_rceg_step(self, monkeypatch):
+    def test_fourteen_eigendecompositions_per_rceg_step(self, monkeypatch):
         """A step makes four SPD points, each with two ``eigh``: the
         exponential's and the new point's own (8). Each then takes a
         logarithm toward the saddle, shared by the value, the gradient and
-        ``dist_to_ref`` (4). The correction's ``Log_w(x)`` (2) and the new
-        pair's distances from the start (2) make 16. The start costs two,
-        one logarithm toward the saddle per factor."""
+        ``dist_to_ref`` (4). The new pair's distances from the start (2)
+        make 14; the correction's ``Log_w(x)`` comes from the
+        extrapolation's own decomposition. The start costs two, one
+        logarithm toward the saddle per factor."""
         rng = np.random.default_rng(42)
         prob = spd_bilinear(random_spd(6, 0.8, 1.25, rng), random_spd(6, 0.8, 1.25, rng))
         eigh = np.linalg.eigh
@@ -325,7 +326,7 @@ class TestSpdBilinear:
                 patch.setattr(np.linalg, "eigh", counted)
                 assert run(prob, "rceg", iters=iters, start=start, eta=0.2).status == "ok"
             counts.append(len(calls))
-        assert counts == [2 + 16 * iters for iters in (1, 10, 25)]
+        assert counts == [2 + 14 * iters for iters in (1, 10, 25)]
 
     def test_distance_to_the_saddle_reuses_the_gradient_decomposition(self, monkeypatch):
         """After a gradient at ``(x, y)``, the distance of each factor to the
@@ -403,6 +404,32 @@ class TestRobustPca:
             value, grad = self.oracle(prob, data, alpha, x, my.point(m.value))
             assert prob.value(x, m) == value
             assert np.array_equal(prob.grad_y(x, m).value, grad)
+
+    def test_seven_eigendecompositions_per_rceg_step(self, monkeypatch):
+        """With the gap off, a step makes two SPD points, each with two
+        single ``eigh`` (the exponential's and the point's own) and one
+        stacked ``eigh`` for its k data logarithms. The new point's
+        distance from the start makes five single calls; the correction
+        ``Log_z(y)`` takes none. The start's penalty is one stacked call."""
+        rng = np.random.default_rng(43)
+        data = [random_spd(5, 0.2, 4.5, rng) for _ in range(4)]
+        prob = robust_pca(data, 1.0)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a):
+            calls.append(np.ndim(a))
+            return eigh(a)
+
+        counts = []
+        for iters in (1, 10, 25):
+            start = (prob.manifold_x.point(np.ones(5) / np.sqrt(5.0)), prob.manifold_y.point(np.mean(data, axis=0)))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counted)
+                assert run(prob, "rceg", iters=iters, start=start, eta=0.05).status == "ok"
+            counts.append((calls.count(2), calls.count(3)))
+        assert counts == [(5 * iters, 1 + 2 * iters) for iters in (1, 10, 25)]
 
     def test_one_eigendecomposition_per_new_matrix_point(self, monkeypatch):
         prob = self.make(n=5, k=6)

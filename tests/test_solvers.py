@@ -188,8 +188,10 @@ class TestRcegStep:
 
 def reference_step(problem, state, corrected):
     """One RCEG step (RGDA with ``corrected=False``) in ``Tangent``
-    arithmetic: ``(current, extrapolated)`` as factor pairs. The steppers
-    form their tangents from the arrays and must equal this bit for bit."""
+    arithmetic: ``(current, extrapolated)`` as factor pairs, with the
+    correction ``Log_w(x)`` read as the reversed end velocity of the
+    extrapolation. The steppers form their tangents from the arrays and
+    must equal this bit for bit."""
     mx, my = problem.manifold_x, problem.manifold_y
     eta = state.eta
     x, y = problem.domain.split(state.current)
@@ -198,8 +200,8 @@ def reference_step(problem, state, corrected):
     if not corrected:
         return (w, z), (w, z)
     gxw, gyz = problem.grad_x(w, z), problem.grad_y(w, z)
-    x1 = mx.exp(w, (-eta) * gxw + mx.log(w, x))
-    y1 = my.exp(z, eta * gyz + my.log(z, y))
+    x1 = mx.exp(w, (-eta) * gxw + mx._reverse_velocity(w))
+    y1 = my.exp(z, eta * gyz + my._reverse_velocity(z))
     return (x1, y1), (w, z)
 
 
