@@ -11,7 +11,7 @@ The package provides:
   a command line front end (``geominimax run`` / ``geominimax check``).
 """
 
-from .curvature import CurvatureBounds, rceg_step_size, tau, xi, zeta
+from .curvature import rceg_step_size, tau, xi, zeta
 from .errors import (
     ConfigError,
     ContractError,
@@ -53,7 +53,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvatureBounds",
     "zeta",
     "xi",
     "tau",

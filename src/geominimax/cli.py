@@ -65,15 +65,8 @@ def _cmd_run(args) -> int:
 
     cfg = parse_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    out_dir = args.out if args.out is not None else cfg.out
-    if out_dir is None:
-        raise ConfigError("no output directory: set 'out' in the config or pass --out")
-    for seed, status, replicate_dir in run_replicates(cfg, out_dir, args.jobs):
+    for seed, status, replicate_dir in run_replicates(cfg, args.out, args.jobs):
         print(f"seed={seed} status={status} out={replicate_dir}")
     return EXIT_OK
 

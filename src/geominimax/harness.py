@@ -29,13 +29,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .curvature import manifold_tau
+from .curvature import tau
 from .errors import ConfigError
 from .linalg import random_spd, sym_eig
 from .manifolds import Point, Spd
@@ -64,24 +64,6 @@ TRACE_HEADER = "iter,value,grad_norm_x,grad_norm_y,dist_to_ref,gap_estimate,wall
 
 _PROBLEMS = ("euclidean_quadratic", "spd_bilinear", "robust_pca", "augmented_lagrangian")
 _ALGOS = ("rceg", "rgda")
-
-#: Config keys in canonical serialization order.
-_FIELD_ORDER = (
-    "problem",
-    "n",
-    "k",
-    "alpha",
-    "mu",
-    "l",
-    "algo",
-    "eta",
-    "iters",
-    "seed",
-    "record_every",
-    "gap_every",
-    "out",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -126,6 +108,34 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
+def _parse_str(key: str, raw: str) -> str:
+    return raw
+
+
+def _or_word(word: str, parse):
+    """A parser that keeps ``word`` as it is and reads anything else with ``parse``."""
+    return lambda key, raw: word if raw == word else parse(key, raw)
+
+
+#: How the text of each config key is read, keyed by field name.
+_PARSE = {
+    "problem": _parse_str,
+    "n": _parse_int,
+    "algo": _parse_str,
+    "iters": _parse_int,
+    "eta": _or_word("auto", _parse_float),
+    "seed": _parse_int,
+    "k": _parse_int,
+    "alpha": _parse_float,
+    "mu": _parse_float,
+    "l": _parse_float,
+    "record_every": _parse_int,
+    "gap_every": _or_word("off", _parse_int),
+    "out": _parse_str,
+}
+_REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` config from a string.
 
@@ -142,7 +152,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_ORDER:
+        if key not in _PARSE:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate config key '{key}'")
@@ -150,36 +160,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: empty value for '{key}'")
         raw[key] = value
 
-    for required in ("problem", "n", "algo", "iters"):
+    for required in _REQUIRED:
         if required not in raw:
             raise ConfigError(f"missing required config key '{required}'")
 
-    kwargs: dict = {
-        "problem": raw["problem"],
-        "n": _parse_int("n", raw["n"]),
-        "algo": raw["algo"],
-        "iters": _parse_int("iters", raw["iters"]),
-    }
-    if "eta" in raw:
-        kwargs["eta"] = "auto" if raw["eta"] == "auto" else _parse_float("eta", raw["eta"])
-    if "seed" in raw:
-        kwargs["seed"] = _parse_int("seed", raw["seed"])
-    if "k" in raw:
-        kwargs["k"] = _parse_int("k", raw["k"])
-    if "alpha" in raw:
-        kwargs["alpha"] = _parse_float("alpha", raw["alpha"])
-    if "mu" in raw:
-        kwargs["mu"] = _parse_float("mu", raw["mu"])
-    if "l" in raw:
-        kwargs["l"] = _parse_float("l", raw["l"])
-    if "record_every" in raw:
-        kwargs["record_every"] = _parse_int("record_every", raw["record_every"])
-    if "gap_every" in raw:
-        kwargs["gap_every"] = "off" if raw["gap_every"] == "off" else _parse_int("gap_every", raw["gap_every"])
-    if "out" in raw:
-        kwargs["out"] = raw["out"]
-
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**{key: _PARSE[key](key, value) for key, value in raw.items()})
     validate_config(cfg)
     return cfg
 
@@ -237,17 +222,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical ``key = value`` text for a config.
 
-    All set fields are written in a fixed order with defaults filled in,
-    so ``parse -> serialize -> parse`` is the identity on configs.
+    All set fields are written in declaration order with defaults filled
+    in, so ``parse -> serialize -> parse`` is the identity on configs.
     """
-    values = asdict(cfg)
-    lines = []
-    for key in _FIELD_ORDER:
-        value = values[key]
-        if value is None:
-            continue
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in asdict(cfg).items() if value is not None)
 
 
 def generate_dataset(n: int, k: int, mu: float, l: float, seed: int) -> list[np.ndarray]:
@@ -370,6 +348,15 @@ class ExperimentOutcome:
         return self.result.status
 
 
+def _output_dir(cfg: ExperimentConfig, out_dir) -> Path:
+    """``out_dir`` if given, else the config's ``out``; one must be set."""
+    if out_dir is None:
+        out_dir = cfg.out
+    if out_dir is None:
+        raise ConfigError("no output directory: set 'out' in the config or pass one explicitly")
+    return Path(out_dir)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     """Run one configured experiment and write ``trace.csv`` / ``meta.json``.
 
@@ -378,11 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     recorded in the trace and manifest, not raised.
     """
     validate_config(cfg)
-    if out_dir is None:
-        if cfg.out is None:
-            raise ConfigError("no output directory: set 'out' in the config or pass one explicitly")
-        out_dir = cfg.out
-    out_dir = Path(out_dir)
+    out_dir = _output_dir(cfg, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     problem, x0, y0 = build_problem(cfg)
@@ -397,8 +380,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     meta = {
         "config": {k: v for k, v in asdict(replace(cfg, out=str(out_dir))).items() if v is not None},
         "problem": problem.name,
-        "tau_m": manifold_tau(problem.manifold_x),
-        "tau_n": manifold_tau(problem.manifold_y),
+        "tau_m": tau(problem.manifold_x),
+        "tau_n": tau(problem.manifold_y),
         "eta": result.state.eta,
         "smoothness": smoothness,
         "smoothness_source": None if smoothness is None else problem.smoothness_source,
@@ -418,17 +401,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
 def run_replicates(cfg: ExperimentConfig, out_dir, jobs: int) -> list[tuple[int, str, str]]:
     """Run ``jobs`` seed replicates, each in its own subdirectory.
 
-    Replicate ``i`` uses seed ``cfg.seed + i`` and writes to
+    ``out_dir`` overrides the config's ``out`` field; one of the two
+    must be set. Replicate ``i`` uses seed ``cfg.seed + i`` and writes to
     ``<out_dir>/seed-<seed>/``. Replicates are independent processes, at
     most one per usable core; with ``jobs = 1`` the single run writes
     directly to ``out_dir``. Returns ``(seed, status, directory)``
-    triples in seed order.
+    triples in seed order, each naming the directory actually written.
     """
+    validate_config(cfg)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    base = _output_dir(cfg, out_dir)
     if jobs == 1:
-        outcome = run_experiment(cfg, out_dir)
-        return [(cfg.seed, outcome.status, str(out_dir))]
+        return [(cfg.seed, run_experiment(cfg, base).status, str(base))]
     # Imported here: loading the process pool costs every run's start-up
     # about 15 ms, and only replicated runs need it.
     from concurrent.futures import ProcessPoolExecutor
@@ -437,7 +422,6 @@ def run_replicates(cfg: ExperimentConfig, out_dir, jobs: int) -> list[tuple[int,
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cores = os.cpu_count() or 1
-    base = Path(out_dir)
     seeds = [cfg.seed + i for i in range(jobs)]
     dirs = [str(base / f"seed-{seed}") for seed in seeds]
     tasks = [(serialize_config(replace(cfg, seed=seed)), d) for seed, d in zip(seeds, dirs)]

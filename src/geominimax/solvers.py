@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .curvature import manifold_tau, rceg_step_size
+from .curvature import rceg_step_size, tau
 from .errors import (
     DomainError,
     GeominimaxError,
@@ -145,7 +145,7 @@ def resolve_step_size(problem: MinimaxProblem, eta) -> float:
     problem does not know its constant).
     """
     if eta == "auto":
-        tau_m, tau_n = manifold_tau(problem.manifold_x), manifold_tau(problem.manifold_y)
+        tau_m, tau_n = tau(problem.manifold_x), tau(problem.manifold_y)
         return rceg_step_size(problem.smoothness(), tau_m, tau_n)
     eta = float(eta)
     if not (eta > 0.0 and math.isfinite(eta)):

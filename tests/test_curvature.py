@@ -1,16 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from geominimax.curvature import (
-    CurvatureBounds,
-    check_triangle_comparison,
-    rceg_step_size,
-    tau,
-    xi,
-    zeta,
-)
+from geominimax.checks import _triangle_comparison_line
+from geominimax.curvature import rceg_step_size, tau, xi, zeta
 from geominimax.errors import DomainError, ParameterError
 from geominimax.manifolds import Euclidean, Spd, Sphere
 
@@ -91,18 +86,32 @@ class TestXi:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def bounds(kappa_min, kappa_max, diameter):
+    """The three numbers :func:`tau` reads from a manifold."""
+    return SimpleNamespace(kappa_min=kappa_min, kappa_max=kappa_max, diameter_bound=diameter)
+
+
 class TestTau:
     def test_flat_is_one(self):
-        assert tau(CurvatureBounds(0.0, 0.0, 3.0)) == 1.0
+        assert tau(Euclidean(2, 3.0)) == 1.0
 
     def test_hadamard_case(self):
-        assert abs(tau(CurvatureBounds(-1.0, 0.0, 1.0)) - coth(1.0)) < 1e-14
+        # Spd has kappa_min = -1/2, so a diameter of sqrt(2) puts the
+        # argument of coth at 1.
+        assert abs(tau(Spd(2, math.sqrt(2.0))) - coth(1.0)) < 1e-14
+
+    def test_sphere_case(self):
+        # zeta(0, pi/4) / xi(1, pi/4) = 1 / (pi/4)
+        assert abs(tau(Sphere(3, math.pi / 4.0)) - 4.0 / math.pi) < 1e-14
 
     def test_mixed_curvature_case(self):
         # zeta(-1, pi/4) / xi(1, pi/4) = coth(pi/4), approximately 1.52487
-        t = tau(CurvatureBounds(-1.0, 1.0, math.pi / 4.0))
+        t = tau(bounds(-1.0, 1.0, math.pi / 4.0))
         assert abs(t - coth(math.pi / 4.0)) < 1e-14
         assert abs(t - 1.52487) < 1e-5
+
+    def test_positive_lower_bound_counts_as_flat(self):
+        assert tau(bounds(0.5, 1.0, 1.0)) == tau(bounds(0.0, 1.0, 1.0))
 
     def test_ratio_identity_and_lower_bound(self):
         rng = np.random.default_rng(1)
@@ -113,21 +122,9 @@ class TestTau:
                 d = float(rng.uniform(0.05, 0.99 * math.pi / (2 * math.sqrt(kmax))))
             else:
                 d = float(rng.uniform(0.05, 5.0))
-            b = CurvatureBounds(kmin, kmax, d)
-            t = tau(b)
+            t = tau(bounds(kmin, kmax, d))
             assert t >= 1.0
             assert abs(t * xi(kmax, d) - zeta(min(kmin, 0.0), d)) < 1e-12 * max(1.0, t)
-
-    def test_bounds_validation(self):
-        with pytest.raises(ParameterError):
-            CurvatureBounds(1.0, 0.0, 1.0)
-        with pytest.raises(ParameterError):
-            CurvatureBounds(-1.0, 0.0, 0.0)
-        with pytest.raises(ParameterError):
-            CurvatureBounds(-1.0, 0.0, math.inf)
-        with pytest.raises(ParameterError):
-            CurvatureBounds(0.0, 1.0, math.pi / 2.0)
-        CurvatureBounds(0.0, 1.0, math.pi / 2.0 - 1e-9)
 
 
 class TestRcegStepSize:
@@ -158,20 +155,40 @@ class TestRcegStepSize:
 
 class TestTriangleComparison:
     def test_euclidean_is_tight(self):
-        report = check_triangle_comparison(Euclidean(5, 4.0), 300, np.random.default_rng(2), slack=1e-9)
-        assert report.passed
-        assert report.max_slack <= 1e-9
+        line = _triangle_comparison_line(Euclidean(5, 4.0), "e", 300, np.random.default_rng(2), slack=1e-9)
+        assert line.passed
+        assert line.worst <= 1e-9
 
     def test_spd_no_violations(self):
-        report = check_triangle_comparison(Spd(3, 2.0), 300, np.random.default_rng(3), slack=1e-7)
-        assert report.violations == 0
+        line = _triangle_comparison_line(Spd(3, 2.0), "p", 300, np.random.default_rng(3), slack=1e-7)
+        assert line.passed
 
     def test_sphere_no_violations(self):
-        report = check_triangle_comparison(
-            Sphere(3, math.pi / 4.0), 300, np.random.default_rng(4), slack=1e-7
+        line = _triangle_comparison_line(
+            Sphere(3, math.pi / 4.0), "s", 300, np.random.default_rng(4), slack=1e-7
         )
-        assert report.violations == 0
+        assert line.passed
+
+    def test_understated_curvature_fails(self):
+        # Declaring the sphere flat asks for the Euclidean upper inequality,
+        # which spherical triangles violate.
+        sphere = Sphere(3, math.pi / 4.0)
+        sphere.kappa_max = 0.0
+        line = _triangle_comparison_line(sphere, "s", 300, np.random.default_rng(4), slack=1e-7)
+        assert not line.passed
+        assert line.worst > 1e-7
+
+    def test_line_fields(self):
+        line = _triangle_comparison_line(Spd(3, 2.0), "triangles.spd3", 7, np.random.default_rng(3), slack=1e-7)
+        assert (line.name, line.trials) == ("triangles.spd3", 7)
+
+    def test_degenerate_sampling_raises(self):
+        # Every opposite side longer than the diameter: no triangle is admissible.
+        m = Euclidean(2, 1.0)
+        m.distance = lambda x, y: 2.0
+        with pytest.raises(DomainError, match="degenerate"):
+            _triangle_comparison_line(m, "e", 3, np.random.default_rng(0), slack=1e-7)
 
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
-            check_triangle_comparison(Euclidean(2, 1.0), 0, np.random.default_rng(0))
+            _triangle_comparison_line(Euclidean(2, 1.0), "e", 0, np.random.default_rng(0), slack=1e-7)

@@ -18,6 +18,7 @@ from geominimax.harness import (
     parse_config,
     parse_config_text,
     run_experiment,
+    run_replicates,
     serialize_config,
     write_trace,
 )
@@ -366,6 +367,30 @@ class TestRunExperiment:
         assert outcome.out_dir == tmp_path / "from-config"
         assert outcome.trace_path.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replicates_default_to_config_out(self, tmp_path, jobs):
+        cfg = parse_config_text(
+            f"problem = euclidean_quadratic\nn = 2\nalgo = rceg\niters = 2\nseed = 3\ngap_every = off\n"
+            f"out = {tmp_path}/from-config\n"
+        )
+        base = tmp_path / "from-config"
+        expected = [base] if jobs == 1 else [base / "seed-3", base / "seed-4"]
+        results = run_replicates(cfg, None, jobs)
+        assert [Path(d) for _, _, d in results] == expected
+        assert all((d / "trace.csv").exists() for d in expected)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replicates_need_an_output_directory(self, jobs):
+        with pytest.raises(ConfigError, match="output directory"):
+            run_replicates(parse_config_text(MINIMAL), None, jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replicates_validate_the_config_first(self, tmp_path, jobs):
+        cfg = replace(parse_config_text(MINIMAL), seed=-1)
+        with pytest.raises(ConfigError, match="'seed'"):
+            run_replicates(cfg, tmp_path / "out", jobs)
+        assert not (tmp_path / "out").exists()
+
 
 class TestChecks:
     def test_manifold_suite_passes(self):
@@ -459,6 +484,22 @@ class TestCli:
         ta = strip_wall_ms((tmp_path / "a" / "trace.csv").read_text())
         tb = strip_wall_ms((tmp_path / "b" / "trace.csv").read_text())
         assert ta != tb
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--jobs", "0"]])
+    def test_bad_run_overrides_are_exit_one(self, tmp_path, capsys, flag):
+        cfg = self._write_cfg(
+            tmp_path, "problem = euclidean_quadratic\nn = 3\nalgo = rceg\niters = 4\ngap_every = off\n"
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_without_output_directory_is_exit_one(self, tmp_path, capsys):
+        cfg = self._write_cfg(
+            tmp_path, "problem = euclidean_quadratic\nn = 3\nalgo = rceg\niters = 4\ngap_every = off\n"
+        )
+        assert main(["run", "--config", cfg]) == 1
+        assert "output directory" in capsys.readouterr().err
 
     def test_jobs_make_seed_subdirectories(self, tmp_path, capsys):
         cfg = self._write_cfg(

@@ -308,6 +308,19 @@ class TestReverseVelocity:
             m._reverse_velocity(m.exp(x, m.zero_tangent(x)))
 
 
+@pytest.mark.parametrize("make", [lambda d: Euclidean(2, d), lambda d: Spd(2, d), lambda d: Sphere(3, d)])
+@pytest.mark.parametrize("d", [0.0, -1.0, math.inf, math.nan])
+def test_diameter_must_be_positive_and_finite(make, d):
+    with pytest.raises(ParameterError):
+        make(d)
+
+
+def test_sphere_diameter_below_half_pi():
+    with pytest.raises(ParameterError):
+        Sphere(3, math.pi / 2.0)
+    assert Sphere(3, math.pi / 2.0 - 1e-9).diameter_bound == math.pi / 2.0 - 1e-9
+
+
 class TestSharedProperties:
     def test_exp_log_round_trip(self):
         for m in make_all():
