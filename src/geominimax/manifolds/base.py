@@ -113,11 +113,7 @@ class Tangent:
     def _check_same_base(self, other: "Tangent"):
         if not isinstance(other, Tangent):
             raise ContractError(f"expected a Tangent, got {type(other).__name__}")
-        if self.base is other.base or self.base == other.base:
-            return
-        raise ContractError(
-            "tangent vectors have different base points; transport one of them first"
-        )
+        _check_same_point(self.base, other.base)
 
     def __add__(self, other: "Tangent") -> "Tangent":
         self._check_same_base(other)
@@ -140,6 +136,13 @@ class Tangent:
 
     def __repr__(self):
         return f"Tangent({self.manifold.name}, shape={self.value.shape})"
+
+
+def _check_same_point(a: Point, b: Point):
+    """Refuse to combine tangents at ``a`` and at ``b`` unless the points are equal."""
+    if a is b or a == b:
+        return
+    raise ContractError("tangent vectors have different base points; transport one of them first")
 
 
 # The slots are set through their descriptors, past the read-only __setattr__.
@@ -199,9 +202,11 @@ class Manifold(ABC):
     def log(self, x: Point, y: Point) -> Tangent:
         """Inverse of :meth:`exp`: the tangent at ``x`` whose geodesic reaches ``y``."""
 
-    def _reverse_velocity(self, y: Point) -> Tangent:
-        """``Log_y(x)`` for ``y = exp(x, v)``: minus the end velocity of the
-        geodesic ``exp`` walked, from what it left in ``y.cache["geodesic"]``."""
+    def _reverse_velocity(self, y: Point) -> np.ndarray:
+        """The array of ``Log_y(x)`` for ``y = exp(x, v)``: minus the end
+        velocity of the geodesic ``exp`` walked, from what it left in
+        ``y.cache["geodesic"]``. A tangent at ``y``; the caller wraps it
+        or adds it to another tangent's array at ``y``."""
         raise NotImplementedError(f"{self.name} has no reverse geodesic velocity")
 
     @abstractmethod

@@ -61,8 +61,8 @@ class Euclidean(Manifold):
         y.cache["geodesic"] = v.value
         return y
 
-    def _reverse_velocity(self, y: Point) -> Tangent:
-        return Tangent._wrap(y, -y.cache["geodesic"])
+    def _reverse_velocity(self, y: Point) -> np.ndarray:
+        return -y.cache["geodesic"]
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)

@@ -114,9 +114,11 @@ class Spd(Manifold):
         return (a + a.T) / 2.0
 
     def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-        """``tr(x^-1 u x^-1 v)``; for stacks ``(..., n, n)``, one value per member."""
+        """``tr(x^-1 u x^-1 v)``; for stacks ``(..., n, n)``, one value per member.
+        ``x^-1 u`` is formed once when ``v`` is ``u``, as for a norm."""
         inv = self._inv(x)
-        return np.einsum("...ij,...ji->...", inv @ u, inv @ v)
+        a = inv @ u
+        return np.einsum("...ij,...ji->...", a, a if v is u else inv @ v)
 
     def _conj_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``x^{-1/2} a x^{-1/2}``."""
@@ -139,10 +141,10 @@ class Spd(Manifold):
         y.cache["geodesic"] = (sq, dec)
         return y
 
-    def _reverse_velocity(self, y: Point) -> Tangent:
+    def _reverse_velocity(self, y: Point) -> np.ndarray:
         # Minus the velocity at t = 1 of x^{1/2} expm(t A) x^{1/2}, A = x^{-1/2} v x^{-1/2}.
         sq, dec = y.cache["geodesic"]
-        return Tangent._wrap(y, symmetrize(sq @ spectral(dec, lambda lam: -lam * np.exp(lam)) @ sq))
+        return symmetrize(sq @ spectral(dec, lambda lam: -lam * np.exp(lam)) @ sq)
 
     def _log_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.

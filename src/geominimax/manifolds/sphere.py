@@ -79,11 +79,11 @@ class Sphere(Manifold):
         y.cache["geodesic"] = (x.value, v.value, theta)
         return y
 
-    def _reverse_velocity(self, y: Point) -> Tangent:
+    def _reverse_velocity(self, y: Point) -> np.ndarray:
         # Minus the velocity at t = 1 of cos(t theta) x + sin(t theta) u, u = v / theta.
         x, v, theta = y.cache["geodesic"]
         u = v / theta if theta else v  # theta = 0 only for v = 0
-        return Tangent._wrap(y, theta * (math.sin(theta) * x - math.cos(theta) * u))
+        return theta * (math.sin(theta) * x - math.cos(theta) * u)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)

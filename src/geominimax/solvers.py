@@ -33,6 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .curvature import rceg_step_size, tau
 from .errors import (
     DomainError,
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .linalg import all_finite
 from .manifolds import Manifold, Point, Product, Tangent
-from .manifolds.base import _read_only
+from .manifolds.base import _check_same_point, _read_only
 from .problems import MinimaxProblem
 
 __all__ = [
@@ -173,18 +175,19 @@ def _pair_grads(problem: MinimaxProblem, x: Point, y: Point) -> tuple[Tangent, T
     return problem.grad_x(x, y), problem.grad_y(x, y)
 
 
-def _step_along(m: Manifold, p: Point, g: Tangent, scale: float, back: Optional[Tangent] = None) -> Point:
-    """``Exp_p(scale g)``, or ``Exp_p(scale g + back)``.
+def _step_along(m: Manifold, p: Point, g: Tangent, scale: float, back: Optional[np.ndarray] = None) -> Point:
+    """``Exp_p(scale g)``, or ``Exp_p(scale g + back)`` for the array
+    ``back`` of a tangent at ``p`` (RCEG's correction).
 
-    The tangent is formed once from the arrays, by the operations of
-    ``scale * g + back`` in their order, so with the same bits, and with
-    the same checks: both terms share a base, and ``exp`` checks that it
-    is ``p``.
+    The tangent is formed once, as ``g.value * scale + back``: the
+    operations of ``scale * g + Tangent(p, back)`` in their order, so with
+    the same bits, and with the same checks: a ``g`` based elsewhere than
+    ``p`` raises as ``+`` does, and ``exp`` checks the base of ``g`` alone.
     """
     v = g.value * scale
     if back is not None:
-        g._check_same_base(back)
-        v = v + back.value
+        _check_same_point(g.base, p)
+        v = v + back
     return m.exp(p, Tangent._wrap(g.base, v))
 
 
@@ -506,7 +509,10 @@ def run(
     drifting more than 1000 times the initial distance scale from the
     start) ends the run as ``"diverged"``, with a best-effort row at the
     iterate where it stopped, or, when the final row fails, with the
-    diagnostic ``"final diagnostics failed: ..."``.
+    diagnostic ``"final diagnostics failed: ..."``. A new pair is scanned
+    for non-finite entries when its distance from the start is not
+    finite, which every non-finite iterate of the shipped manifolds has,
+    and before ``keep_averages`` folds it in.
     """
     if algo not in _STEPPERS:
         raise ParameterError(f"unknown algorithm {algo!r}, expected one of {sorted(_STEPPERS)}")
@@ -552,15 +558,20 @@ def run(
             if est.estimate is None:
                 gap_misses.append(est.diagnostic)
             gap_val = est.estimate
+        # Positional: keywords cost a NamedTuple a quarter microsecond per row.
         return IterationRecord(
-            t=s.t,
-            value=float(problem.value(x, y)),
-            grad_norm_x=mx.norm(grads[0]),
-            grad_norm_y=my.norm(grads[1]),
-            dist_to_ref=dist_to_ref(x, y) if ref is not None else None,
-            gap_estimate=gap_val,
-            wall_ms=(time.perf_counter() - t_start) * 1000.0,
+            s.t,
+            float(problem.value(x, y)),
+            mx.norm(grads[0]),
+            my.norm(grads[1]),
+            dist_to_ref(x, y) if ref is not None else None,
+            gap_val,
+            (time.perf_counter() - t_start) * 1000.0,
         )
+
+    def check_finite(x: Point, y: Point):
+        if not (all_finite(x.value) and all_finite(y.value)):
+            raise NumericalError("iterate contains non-finite values")
 
     average: Optional[Point] = None
     far_x = far_y = 0.0
@@ -573,14 +584,22 @@ def run(
                 break
             state = step(problem, state, grads)
             x, y = state.x, state.y
-            if not (all_finite(x.value) and all_finite(y.value)):
-                raise NumericalError("iterate contains non-finite values")
             if keep_averages:
+                # The average must not see a non-finite pair.
+                check_finite(x, y)
                 average = geodesic_average_update(problem.domain, average, state.extrapolated, t)
                 averages.append((state.t, average))
             # The product distance from the start, as Product.distance
             # combines it, with each factor's distance kept for meta.json.
             dx, dy = mx.distance(x, x0), my.distance(y, y0)
+            # A non-finite iterate has a non-finite distance on every shipped
+            # manifold, so the arrays are scanned only then: Euclidean's is
+            # the norm of the difference, Sphere.exp normalizes, which leaves
+            # a NaN in any non-finite output, and Spd.exp raises before it
+            # would return one. A finite iterate whose distance overflows
+            # passes the scan and meets the drift check below.
+            if not math.isfinite(dx + dy):
+                check_finite(x, y)
             far_x, far_y = max(far_x, dx), max(far_y, dy)
             if math.hypot(dx, dy) > threshold:
                 raise NumericalError(

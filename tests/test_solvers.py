@@ -200,8 +200,8 @@ def reference_step(problem, state, corrected):
     if not corrected:
         return (w, z), (w, z)
     gxw, gyz = problem.grad_x(w, z), problem.grad_y(w, z)
-    x1 = mx.exp(w, (-eta) * gxw + mx._reverse_velocity(w))
-    y1 = my.exp(z, eta * gyz + my._reverse_velocity(z))
+    x1 = mx.exp(w, (-eta) * gxw + Tangent(w, mx._reverse_velocity(w)))
+    y1 = my.exp(z, eta * gyz + Tangent(z, my._reverse_velocity(z)))
     return (x1, y1), (w, z)
 
 
@@ -249,6 +249,26 @@ class TestStepsEqualTangentArithmetic:
             rceg_step(wrong, s)
         with pytest.raises(ContractError, match="tangent is based at a different point"):
             rceg_step(wrong, make_state(wrong, p.manifold_x.point([1.0]), p.manifold_y.point([1.0]), 0.5))
+
+
+@pytest.mark.parametrize("problem, start, eta", three_geometries(), ids=lambda p: getattr(p, "name", ""))
+@pytest.mark.parametrize("algo, tangents", [("rceg", 6), ("rgda", 2)])
+def test_tangents_built_per_step(monkeypatch, problem, start, eta, algo, tangents):
+    """Given the gradients at the current pair, an RCEG step builds one
+    tangent per exponential and per gradient at the extrapolated pair; its
+    corrections are arrays. RGDA builds one per exponential."""
+    s = make_state(problem, *start, eta)
+    grads = (problem.grad_x(s.x, s.y), problem.grad_y(s.x, s.y))
+    built = []
+    wrap = Tangent._wrap
+
+    def counted(base, value):
+        built.append(1)
+        return wrap(base, value)
+
+    monkeypatch.setattr(Tangent, "_wrap", staticmethod(counted))
+    solvers._STEPPERS[algo](problem, s, grads)
+    assert len(built) == tangents
 
 
 class TestPairState:
@@ -813,6 +833,58 @@ class TestRun:
         res = run(p, "rceg", iters=10, start=start, eta=0.1)
         assert res.status == "diverged" and res.diagnostic == "iterate contains non-finite values"
         assert res.state.t == 3
+
+    @staticmethod
+    def poison_extrapolated_grad_x(p, call, bad):
+        """Make ``grad_x`` return ``bad`` in every entry at its ``call``-th
+        call; the even calls of an RCEG run are at the extrapolated pair,
+        so an even ``call`` poisons only the corrected ``x``."""
+        grad_x, calls = p.grad_x, []
+
+        def poisoned(x, y):
+            calls.append(1)
+            g = grad_x(x, y)
+            return Tangent(g.base, np.full_like(g.value, bad)) if len(calls) == call else g
+
+        p.grad_x = poisoned
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("factor, bad", [("euclidean", np.nan), ("euclidean", np.inf), ("sphere", np.nan)])
+    @pytest.mark.parametrize("keep_averages", [False, True])
+    def test_non_finite_factor_iterate_ends_the_run(self, factor, bad, keep_averages):
+        """A corrected ``x`` with a NaN or ``+inf`` entry, on a Euclidean or a
+        sphere factor, ends the run at the step that made it, with a
+        best-effort row there, and before the average folds it in."""
+        if factor == "euclidean":
+            p = euclidean_quadratic(np.eye(2))
+            start = (p.manifold_x.point([0.3, 0.1]), p.manifold_y.point([0.2, 0.4]))
+            eta = 0.1
+        else:
+            data = [random_spd(3, 0.8, 1.6, np.random.default_rng(47)) for _ in range(2)]
+            p = robust_pca(data, alpha=1.0)
+            start = (p.manifold_x.point(np.ones(3) / np.sqrt(3.0)), p.manifold_y.point(np.mean(data, axis=0)))
+            eta = 0.05
+        assert type(p.manifold_x).__name__.lower() == factor
+        self.poison_extrapolated_grad_x(p, 6, bad)
+        res = run(p, "rceg", iters=10, start=start, eta=eta, keep_averages=keep_averages)
+        assert res.status == "diverged" and res.diagnostic == "iterate contains non-finite values"
+        assert res.state.t == 3
+        assert [t for t, _ in res.averages] == ([1, 2] if keep_averages else [])
+        assert res.records[-1].t == 3
+        assert not np.isfinite(res.state.x.value).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_iterate_whose_distance_overflows_ends_as_drift(self):
+        """An iterate near 1e300 is finite, but its distance from the start
+        overflows to ``inf``: the run ends on the drift check."""
+        p = euclidean_quadratic(np.eye(2))
+        self.poison_extrapolated_grad_x(p, 4, 1e301)
+        start = (p.manifold_x.point([0.3, 0.1]), p.manifold_y.point([0.2, 0.4]))
+        res = run(p, "rceg", iters=10, start=start, eta=0.1)
+        assert res.status == "diverged" and "drifted" in res.diagnostic
+        assert np.isfinite(res.state.x.value).all() and abs(res.state.x.value[0]) > 1e299
+        assert res.state.t == 2 and res.records[-1].t == 2
+        assert res.max_dist_from_start[0] == np.inf
 
     def test_rgda_divergence_detected(self):
         p = scalar_bilinear()
