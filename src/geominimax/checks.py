@@ -309,8 +309,7 @@ def check_rate(iters: int = 200, seed: int = 0) -> list[CheckLine]:
         keep_averages=True,
     )
     worst = -np.inf
-    for t, avg in res.averages:
-        xb, yb = problem.domain.split(avg)
+    for t, xb, yb in res.averages:
         gap = certified_gap(problem, xb, yb)
         worst = max(worst, gap - d2 / (eta * t))
     return [CheckLine("rate.euclidean_quadratic", iters, float(worst), worst <= 1e-9 and res.status == "ok")]

@@ -1,8 +1,9 @@
 """Experiment harness: config parsing, dataset generation, run orchestration.
 
-Configs are flat ``key = value`` text files (blank lines and ``#``
-comments ignored), chosen for zero-dependency parsing and clean diffs.
-A run writes two files into its output directory:
+Configs are flat ``key = value`` text files, where ``#`` starts a
+comment that runs to the end of its line, chosen for zero-dependency
+parsing and clean diffs. A run writes two files into its output
+directory:
 
 - ``trace.csv`` with the exact header
   ``iter,value,grad_norm_x,grad_norm_y,dist_to_ref,gap_estimate,wall_ms``
@@ -54,7 +55,6 @@ __all__ = [
     "TRACE_HEADER",
     "parse_config",
     "parse_config_text",
-    "serialize_config",
     "generate_dataset",
     "build_problem",
     "run_experiment",
@@ -139,13 +139,15 @@ _REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSI
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` config from a string.
 
-    Unknown and duplicate keys are rejected with the offending key
-    named; all field constraints are validated before returning.
+    A ``#`` starts a comment that runs to the end of its line, so a value
+    cannot contain one. Unknown and duplicate keys are rejected with the
+    offending key named; all field constraints are validated before
+    returning.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
@@ -217,15 +219,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"field 'alpha': robust_pca needs alpha > 0, got {cfg.alpha!r}")
     if cfg.problem == "augmented_lagrangian" and cfg.alpha is None:
         raise ConfigError("field 'alpha': required for augmented_lagrangian")
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical ``key = value`` text for a config.
-
-    All set fields are written in declaration order with defaults filled
-    in, so ``parse -> serialize -> parse`` is the identity on configs.
-    """
-    return "".join(f"{key} = {value}\n" for key, value in asdict(cfg).items() if value is not None)
 
 
 def generate_dataset(n: int, k: int, mu: float, l: float, seed: int) -> list[np.ndarray]:
@@ -424,14 +417,12 @@ def run_replicates(cfg: ExperimentConfig, out_dir, jobs: int) -> list[tuple[int,
         cores = os.cpu_count() or 1
     seeds = [cfg.seed + i for i in range(jobs)]
     dirs = [str(base / f"seed-{seed}") for seed in seeds]
-    tasks = [(serialize_config(replace(cfg, seed=seed)), d) for seed, d in zip(seeds, dirs)]
+    tasks = [(replace(cfg, seed=seed), d) for seed, d in zip(seeds, dirs)]
     with ProcessPoolExecutor(max_workers=min(jobs, cores)) as pool:
         statuses = list(pool.map(_replicate_worker, tasks))
     return list(zip(seeds, statuses, dirs))
 
 
-def _replicate_worker(task: tuple[str, str]) -> str:
-    """Process-pool entry point: parse the config text and run it."""
-    text, out_dir = task
-    cfg = parse_config_text(text)
-    return run_experiment(cfg, out_dir).status
+def _replicate_worker(task: tuple[ExperimentConfig, str]) -> str:
+    """Process-pool entry point: run one replicate's config."""
+    return run_experiment(*task).status

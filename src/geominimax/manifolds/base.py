@@ -131,9 +131,6 @@ class Tangent:
     def __neg__(self) -> "Tangent":
         return Tangent._wrap(self.base, -self.value)
 
-    def norm(self) -> float:
-        return self.manifold.norm(self)
-
     def __repr__(self):
         return f"Tangent({self.manifold.name}, shape={self.value.shape})"
 

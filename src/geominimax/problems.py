@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .linalg import SpectralDecomposition, log_divided_differences, sym_eig, symmetrize
-from .manifolds import Euclidean, Manifold, Point, Product, Spd, Sphere, Tangent
+from .manifolds import Euclidean, Manifold, Point, Spd, Sphere, Tangent
 
 __all__ = [
     "MinimaxProblem",
@@ -75,15 +75,7 @@ class MinimaxProblem:
     smoothness_source: str = "given"
     known_saddle: Optional[tuple[Point, Point]] = None
     best_response_x: Optional[Callable[[Point], Point]] = None
-    _domain: Optional[Product] = field(default=None, repr=False)
     _smoothness_used: bool = field(default=False, repr=False)
-
-    @property
-    def domain(self) -> Product:
-        """The product manifold the solver state lives on."""
-        if self._domain is None:
-            self._domain = Product(self.manifold_x, self.manifold_y)
-        return self._domain
 
     def smoothness(self) -> float:
         """Smoothness constant, estimating it empirically if not known.

@@ -19,10 +19,12 @@ pairs, which the ergodic rate statement is about, is folded by
 :func:`run` under ``run(..., keep_averages=True)``.
 
 Each player moves on its own manifold, so a :class:`SolverState` holds
-the factor points, and the steppers, the trace rows, the drift check and
-the gap estimate work on them. A :class:`~geominimax.manifolds.Product`
-point is built only where a product metric is needed (the geodesic
-average) or when a caller reads ``state.current``.
+the factor points, and the steppers, the trace rows, the drift check,
+the gap estimate and the geodesic average work on them: under the
+product metric a product geodesic is a pair of factor geodesics, so the
+average of the pairs is each player's own running average. A
+:class:`~geominimax.manifolds.Product` point is built only when a caller
+reads ``state.current``.
 """
 
 from __future__ import annotations
@@ -83,11 +85,10 @@ class SolverState(_StateFields):
     The state holds factor points: ``x, y`` is the current pair
     ``(x_t, y_t)`` and ``w, z`` the last extrapolated pair ``(w_t, z_t)``
     (the current pair itself for RGDA, ``None`` before the first step).
-    ``current`` and ``extrapolated`` join those pairs into points of the
-    product manifold ``domain`` on each read; nothing on :func:`run`'s
-    per-step path reads them. Attributes cannot be reassigned, and
-    construction, unpickling, ``_make`` and ``_replace`` included, checks
-    ``t`` and ``eta``.
+    ``current`` joins ``x, y`` into a point of the product manifold
+    ``domain`` on each read; nothing in :func:`run` reads it. Attributes
+    cannot be reassigned, and construction, unpickling, ``_make`` and
+    ``_replace`` included, checks ``t`` and ``eta``.
     """
 
     __slots__ = ()
@@ -109,11 +110,6 @@ class SolverState(_StateFields):
         """``(x, y)`` as a point of ``domain``."""
         return self.domain.join(self.x, self.y)
 
-    @property
-    def extrapolated(self) -> Optional[Point]:
-        """``(w, z)`` as a point of ``domain``, ``None`` before the first step."""
-        return None if self.w is None else self.domain.join(self.w, self.z)
-
 
 class IterationRecord(NamedTuple):
     """Diagnostics for one recorded iteration: the trace's columns, in
@@ -131,10 +127,10 @@ class IterationRecord(NamedTuple):
 
 
 def make_state(problem: MinimaxProblem, x0: Point, y0: Point, eta: float) -> SolverState:
-    """Initial solver state at ``(x0, y0)``."""
+    """Initial solver state at ``(x0, y0)``, on the product of the problem's factors."""
     problem.manifold_x._check_point(x0, "x0")
     problem.manifold_y._check_point(y0, "y0")
-    return SolverState(problem.domain, 0, x0, y0, None, None, float(eta))
+    return SolverState(Product(problem.manifold_x, problem.manifold_y), 0, x0, y0, None, None, float(eta))
 
 
 def resolve_step_size(problem: MinimaxProblem, eta) -> float:
@@ -460,7 +456,9 @@ def estimate_duality_gap(problem: MinimaxProblem, x_hat: Point, y_hat: Point, ma
 class RunResult:
     """Trace and final state of a solver run.
 
-    ``state.eta`` is the step size the run used. ``max_dist_from_start``
+    ``state.eta`` is the step size the run used. Under ``keep_averages``,
+    ``averages`` holds ``(t, x_bar, y_bar)`` after each step ``t``: the
+    geodesic running means of ``w`` and of ``z``. ``max_dist_from_start``
     is the largest distance of the current iterate from its start seen in
     the run, per factor ``(x, y)``.
     ``gap_unavailable`` counts the cadence points whose duality-gap
@@ -472,7 +470,7 @@ class RunResult:
     state: SolverState
     status: str  # "ok" or "diverged"
     diagnostic: str
-    averages: list[tuple[int, Point]] = field(default_factory=list)
+    averages: list[tuple[int, Point, Point]] = field(default_factory=list)
     max_dist_from_start: tuple[float, float] = (0.0, 0.0)
     gap_unavailable: int = 0
     gap_diagnostic: str = ""
@@ -501,8 +499,8 @@ def run(
     Every ``gap_every`` steps (never when ``None``) the row carries
     :func:`estimate_duality_gap`, whose inner solvers get up to
     ``max(10000, 10 * iters)`` steps, all spent on an unbounded slice.
-    ``keep_averages`` folds the geodesic running mean of the extrapolated
-    pairs into ``RunResult.averages`` after each step.
+    ``keep_averages`` folds each player's geodesic running mean of the
+    extrapolated pairs into ``RunResult.averages`` after each step.
 
     Divergence (non-finite values, exp-guard violations, an iterate that
     leaves the domain, a failure of the average, or the current pair
@@ -540,7 +538,7 @@ def run(
     threshold = _DIVERGENCE_FACTOR * scale
 
     records: list[IterationRecord] = []
-    averages: list[tuple[int, Point]] = []
+    averages: list[tuple[int, Point, Point]] = []
     status = "ok"
     diagnostic = ""
     gap_misses: list[str] = []
@@ -573,7 +571,7 @@ def run(
         if not (all_finite(x.value) and all_finite(y.value)):
             raise NumericalError("iterate contains non-finite values")
 
-    average: Optional[Point] = None
+    avg_x = avg_y = None
     far_x = far_y = 0.0
     for t in range(iters + 1):
         try:
@@ -587,8 +585,9 @@ def run(
             if keep_averages:
                 # The average must not see a non-finite pair.
                 check_finite(x, y)
-                average = geodesic_average_update(problem.domain, average, state.extrapolated, t)
-                averages.append((state.t, average))
+                avg_x = geodesic_average_update(mx, avg_x, state.w, t)
+                avg_y = geodesic_average_update(my, avg_y, state.z, t)
+                averages.append((state.t, avg_x, avg_y))
             # The product distance from the start, as Product.distance
             # combines it, with each factor's distance kept for meta.json.
             dx, dy = mx.distance(x, x0), my.distance(y, y0)

@@ -19,7 +19,6 @@ from geominimax.harness import (
     parse_config_text,
     run_experiment,
     run_replicates,
-    serialize_config,
     write_trace,
 )
 from geominimax.solvers import IterationRecord
@@ -55,11 +54,29 @@ class TestConfigParsing:
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# a comment\n\n" + MINIMAL + "\n# trailing\n")
         assert cfg.n == 10
+        # A comment after a value ends the value.
+        cfg = parse_config_text(
+            "problem = spd_bilinear\nn = 5  # dim\nalgo = rceg\niters = 3 #\nout = results/x  # note\n"
+        )
+        assert (cfg.n, cfg.iters, cfg.out) == (5, 3, "results/x")
 
-    def test_round_trip_is_identity(self):
-        cfg = parse_config_text(MINIMAL)
-        assert parse_config_text(serialize_config(cfg)) == cfg
-        full = ExperimentConfig(
+    def test_full_config_text_parses_to_every_field(self):
+        text = """
+problem = robust_pca
+n = 6
+algo = rgda
+iters = 50
+eta = 0.125
+seed = 9
+k = 4
+alpha = 0.5
+mu = 0.2
+l = 4.5
+record_every = 2
+gap_every = off
+out = some/dir
+"""
+        assert parse_config_text(text) == ExperimentConfig(
             problem="robust_pca",
             n=6,
             algo="rgda",
@@ -74,7 +91,6 @@ class TestConfigParsing:
             gap_every="off",
             out="some/dir",
         )
-        assert parse_config_text(serialize_config(full)) == full
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'momentum'"):
@@ -378,6 +394,8 @@ class TestRunExperiment:
         results = run_replicates(cfg, None, jobs)
         assert [Path(d) for _, _, d in results] == expected
         assert all((d / "trace.csv").exists() for d in expected)
+        seeds = [json.loads((d / "meta.json").read_text())["config"]["seed"] for d in expected]
+        assert seeds == [3, 4][:jobs]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_replicates_need_an_output_directory(self, jobs):

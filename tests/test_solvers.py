@@ -98,8 +98,8 @@ class TestRcegStep:
         p = scalar_bilinear()
         s = make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([1.0]), 0.5)
         s1 = rceg_step(p, s)
-        w, z = p.domain.split(s1.extrapolated)
-        x1, y1 = p.domain.split(s1.current)
+        w, z = (s1.w, s1.z)
+        x1, y1 = (s1.x, s1.y)
         assert w.value[0] == pytest.approx(0.5, abs=1e-15)
         assert z.value[0] == pytest.approx(1.5, abs=1e-15)
         assert x1.value[0] == pytest.approx(0.25, abs=1e-15)
@@ -116,8 +116,8 @@ class TestRcegStep:
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
             s1 = rceg_step(p, make_state(p, p.manifold_x.point(x), p.manifold_y.point(y), eta))
-            x1, y1 = p.domain.split(s1.current)
-            w, z = p.domain.split(s1.extrapolated)
+            x1, y1 = (s1.x, s1.y)
+            w, z = (s1.w, s1.z)
             ex1, ey1, ew, ez = classical_eg_step(b, x, y, eta)
             np.testing.assert_allclose(w.value, ew, atol=1e-12)
             np.testing.assert_allclose(z.value, ez, atol=1e-12)
@@ -135,7 +135,7 @@ class TestRcegStep:
         for _ in range(200):
             s = rceg_step(p, s)
             x, y = classical_eg_step(b, x, y, eta)[:2]
-        xs, ys = p.domain.split(s.current)
+        xs, ys = (s.x, s.y)
         np.testing.assert_allclose(xs.value, x, atol=1e-10)
         np.testing.assert_allclose(ys.value, y, atol=1e-10)
 
@@ -148,10 +148,10 @@ class TestRcegStep:
         y = my.point(random_spd(3, 0.6, 1.8, rng))
         s = make_state(p, x, y, 0.1)
         for _ in range(3):
-            x_old, y_old = p.domain.split(s.current)
+            x_old, y_old = (s.x, s.y)
             s = rceg_step(p, s)
-            w, z = p.domain.split(s.extrapolated)
-            x_new, y_new = p.domain.split(s.current)
+            w, z = (s.w, s.z)
+            x_new, y_new = (s.x, s.y)
             lhs = mx.log(w, x_new)
             rhs = mx.log(w, x_old) + (-s.eta) * p.grad_x(w, z)
             assert mx.norm(lhs - rhs) < 1e-8
@@ -168,10 +168,10 @@ class TestRcegStep:
         y = my.point(np.mean(data, axis=0))
         s = make_state(p, x, y, 0.05)
         for _ in range(3):
-            x_old, y_old = p.domain.split(s.current)
+            x_old, y_old = (s.x, s.y)
             s = rceg_step(p, s)
-            w, z = p.domain.split(s.extrapolated)
-            x_new, y_new = p.domain.split(s.current)
+            w, z = (s.w, s.z)
+            x_new, y_new = (s.x, s.y)
             assert mx.norm(mx.log(w, x_new) - (mx.log(w, x_old) + (-s.eta) * p.grad_x(w, z))) < 1e-8
             assert my.norm(my.log(z, y_new) - (my.log(z, y_old) + s.eta * p.grad_y(w, z))) < 1e-8
 
@@ -181,7 +181,7 @@ class TestRcegStep:
         p = decoupled_spd(3, rng)
         a, b = p.known_saddle
         s = rceg_step(p, make_state(p, a, b, 0.25))
-        x1, y1 = p.domain.split(s.current)
+        x1, y1 = (s.x, s.y)
         np.testing.assert_allclose(x1.value, a.value, atol=1e-12)
         np.testing.assert_allclose(y1.value, b.value, atol=1e-12)
 
@@ -194,7 +194,7 @@ def reference_step(problem, state, corrected):
     must equal this bit for bit."""
     mx, my = problem.manifold_x, problem.manifold_y
     eta = state.eta
-    x, y = problem.domain.split(state.current)
+    x, y = (state.x, state.y)
     w = mx.exp(x, (-eta) * problem.grad_x(x, y))
     z = my.exp(y, eta * problem.grad_y(x, y))
     if not corrected:
@@ -222,13 +222,12 @@ class TestStepsEqualTangentArithmetic:
     @pytest.mark.parametrize("problem, start, eta", three_geometries(), ids=lambda p: getattr(p, "name", ""))
     @pytest.mark.parametrize("algo", ["rceg", "rgda"])
     def test_bit_for_bit(self, problem, start, eta, algo):
-        prod = problem.domain
         s = make_state(problem, *start, eta)
         for _ in range(8):
-            (x1, y1), (w, z) = reference_step(problem, s, corrected=algo == "rceg")
+            expected = reference_step(problem, s, corrected=algo == "rceg")
             s = solvers._STEPPERS[algo](problem, s)
-            assert np.array_equal(s.current.value, prod.join(x1, y1).value)
-            assert np.array_equal(s.extrapolated.value, prod.join(w, z).value)
+            for a, b in zip((s.x, s.y, s.w, s.z), (*expected[0], *expected[1])):
+                assert np.array_equal(a.value, b.value)
 
     def test_a_gradient_at_another_point_is_refused(self):
         """The corrected update adds ``Log_w(x)`` to the gradient at ``w``, so
@@ -297,14 +296,18 @@ class TestPairState:
 
     @pytest.mark.parametrize("algo", ["rceg", "rgda"])
     def test_pairs_are_joined_on_read(self, algo):
-        p = scalar_bilinear()
-        s = make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([0.5]), 0.25)
-        assert s.extrapolated is None
-        s = solvers._STEPPERS[algo](p, solvers._STEPPERS[algo](p, s))
-        current, extrapolated = s.current, s.extrapolated
-        assert current == p.domain.join(s.x, s.y) and extrapolated == p.domain.join(s.w, s.z)
-        assert all(a is b for a, b in zip(p.domain.split(current), (s.x, s.y)))
-        assert all(a is b for a, b in zip(p.domain.split(extrapolated), (s.w, s.z)))
+        """``state.current`` is a point of the state's one product manifold,
+        and splitting it gives back the factor points themselves."""
+        step = solvers._STEPPERS[algo]
+        for problem, start, eta in three_geometries():
+            s0 = make_state(problem, *start, eta)
+            assert s0.w is None and s0.z is None
+            s = step(problem, step(problem, s0))
+            assert s.domain is s0.domain
+            current = s.current
+            assert current.manifold is s.domain
+            assert all(a is b for a, b in zip(current.manifold.split(current), (s.x, s.y)))
+            assert np.array_equal(current.value, np.concatenate((s.x.value.ravel(), s.y.value.ravel())))
 
     def test_state_is_read_only_and_pickles(self):
         p = scalar_bilinear()
@@ -316,14 +319,14 @@ class TestPairState:
                 setattr(s, name, None)
         copy = pickle.loads(pickle.dumps(s))
         assert (copy.t, copy.eta) == (s.t, s.eta)
-        for name in ("x", "y", "w", "z", "current", "extrapolated"):
+        for name in ("x", "y", "w", "z", "current"):
             assert np.array_equal(getattr(copy, name).value, getattr(s, name).value)
 
     def test_state_validates_counter_and_step_size(self):
         p = scalar_bilinear()
         x, y = p.manifold_x.point([1.0]), p.manifold_y.point([0.5])
         with pytest.raises(ParameterError):
-            solvers.SolverState(p.domain, -1, x, y, None, None, 0.1)
+            solvers.SolverState(Product(p.manifold_x, p.manifold_y), -1, x, y, None, None, 0.1)
         for eta in (0.0, -0.1, float("inf"), float("nan")):
             with pytest.raises(ParameterError):
                 make_state(p, x, y, eta)
@@ -335,7 +338,7 @@ class TestPairState:
             with pytest.raises(ParameterError):
                 s._replace(**change)
         with pytest.raises(ParameterError):
-            solvers.SolverState._make([p.domain, -1, s.x, s.y, None, None, 0.25])
+            solvers.SolverState._make([s.domain, -1, s.x, s.y, None, None, 0.25])
         moved = s._replace(t=3)
         assert type(moved) is solvers.SolverState and moved.t == 3 and moved.x is s.x
 
@@ -356,11 +359,12 @@ class TestRgdaStep:
         """f = xy from (1, 1) with eta = 0.5 moves to (0.5, 1.5)."""
         p = scalar_bilinear()
         s1 = rgda_step(p, make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([1.0]), 0.5))
-        x1, y1 = p.domain.split(s1.current)
+        x1, y1 = (s1.x, s1.y)
         assert x1.value[0] == pytest.approx(0.5, abs=1e-15)
         assert y1.value[0] == pytest.approx(1.5, abs=1e-15)
-        origin = p.domain.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
-        assert p.domain.distance(s1.current, origin) == pytest.approx(np.sqrt(2.5), abs=1e-14)
+        prod = Product(p.manifold_x, p.manifold_y)
+        origin = prod.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
+        assert prod.distance(prod.join(x1, y1), origin) == pytest.approx(np.sqrt(2.5), abs=1e-14)
 
     def test_equals_rceg_extrapolation(self):
         """One RGDA step is exactly the extrapolation stage of RCEG."""
@@ -371,17 +375,19 @@ class TestRgdaStep:
         s0 = make_state(p, x, y, 0.2)
         gda = rgda_step(p, s0)
         ceg = rceg_step(p, s0)
-        np.testing.assert_allclose(gda.current.value, ceg.extrapolated.value, atol=1e-15)
+        np.testing.assert_allclose(gda.x.value, ceg.w.value, atol=1e-15)
+        np.testing.assert_allclose(gda.y.value, ceg.z.value, atol=1e-15)
 
     def test_spirals_outward_on_bilinear(self):
         """Simultaneous steps on f = xy grow the distance to the saddle."""
         p = scalar_bilinear()
         s = make_state(p, p.manifold_x.point([1.0]), p.manifold_y.point([0.0]), 0.5)
-        origin = p.domain.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
-        d0 = p.domain.distance(s.current, origin)
+        prod = Product(p.manifold_x, p.manifold_y)
+        origin = prod.join(p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
+        d0 = prod.distance(prod.join(s.x, s.y), origin)
         for _ in range(20):
             s = rgda_step(p, s)
-        assert p.domain.distance(s.current, origin) > 5.0 * d0
+        assert prod.distance(prod.join(s.x, s.y), origin) > 5.0 * d0
 
 
 class TestGeodesicAveraging:
@@ -438,13 +444,12 @@ class TestGeodesicAveraging:
         probe_x = p.manifold_x.point(rng.standard_normal(3))
         probe_y = p.manifold_y.point(rng.standard_normal(3))
         gaps = []
-        avg = None
+        w_bar = z_bar = None
         for t in range(20):
             s = rceg_step(p, s)
-            avg = geodesic_average_update(p.domain, avg, s.extrapolated, t)
-            w, z = p.domain.split(s.extrapolated)
-            gaps.append(p.value(w, probe_y) - p.value(probe_x, z))
-        w_bar, z_bar = p.domain.split(avg)
+            w_bar = geodesic_average_update(p.manifold_x, w_bar, s.w, t)
+            z_bar = geodesic_average_update(p.manifold_y, z_bar, s.z, t)
+            gaps.append(p.value(s.w, probe_y) - p.value(probe_x, s.z))
         lhs = p.value(w_bar, probe_y) - p.value(probe_x, z_bar)
         assert lhs == pytest.approx(np.mean(gaps), abs=1e-9)
 
@@ -459,13 +464,12 @@ class TestGeodesicAveraging:
         probe_y = p.manifold_y.point(random_spd(3, 0.6, 1.8, rng))
         s = make_state(p, x, y, 0.25)
         gaps = []
-        avg = None
+        w_bar = z_bar = None
         for t in range(15):
             s = rceg_step(p, s)
-            avg = geodesic_average_update(p.domain, avg, s.extrapolated, t)
-            w, z = p.domain.split(s.extrapolated)
-            gaps.append(p.value(w, probe_y) - p.value(probe_x, z))
-        w_bar, z_bar = p.domain.split(avg)
+            w_bar = geodesic_average_update(p.manifold_x, w_bar, s.w, t)
+            z_bar = geodesic_average_update(p.manifold_y, z_bar, s.z, t)
+            gaps.append(p.value(s.w, probe_y) - p.value(probe_x, s.z))
         lhs = p.value(w_bar, probe_y) - p.value(probe_x, z_bar)
         assert lhs <= np.mean(gaps) + 1e-7
 
@@ -762,8 +766,8 @@ class TestRun:
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
         res = run(p, "rceg", iters=1, start=(x, y), eta=0.2, keep_averages=True)
-        [(t, avg)] = res.averages
-        assert t == 1 and avg == res.state.extrapolated
+        [(t, x_bar, y_bar)] = res.averages
+        assert t == 1 and x_bar is res.state.w and y_bar is res.state.z
         assert res.status == "ok"
 
     def test_record_cadence_and_final_row(self):
@@ -792,12 +796,12 @@ class TestRun:
     def test_dist_to_ref_is_the_product_distance(self, problem, start, eta):
         """The trace's distance equals ``Product.distance`` of the pair to
         the saddle pair, bit for bit, at every row."""
-        prod = problem.domain
+        prod = Product(problem.manifold_x, problem.manifold_y)
         ref = prod.join(*problem.known_saddle)
         res = run(problem, "rceg", iters=6, start=start, eta=eta)
         s = make_state(problem, *start, eta)
         for record in res.records:
-            assert record.dist_to_ref == prod.distance(s.current, ref)
+            assert record.dist_to_ref == prod.distance(prod.join(s.x, s.y), ref)
             s = rceg_step(problem, s)
 
     def test_rceg_contracts_on_flat_bilinear(self):
@@ -869,7 +873,7 @@ class TestRun:
         res = run(p, "rceg", iters=10, start=start, eta=eta, keep_averages=keep_averages)
         assert res.status == "diverged" and res.diagnostic == "iterate contains non-finite values"
         assert res.state.t == 3
-        assert [t for t, _ in res.averages] == ([1, 2] if keep_averages else [])
+        assert [t for t, _, _ in res.averages] == ([1, 2] if keep_averages else [])
         assert res.records[-1].t == 3
         assert not np.isfinite(res.state.x.value).all()
 
@@ -952,18 +956,20 @@ class TestRun:
         assert all(r.gap_estimate is not None for r in res.records if r.t in (10, 20))
 
     def test_keep_averages(self):
-        rng = np.random.default_rng(61)
-        p = decoupled_spd(2, rng)
-        x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
-        y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
-        res = run(p, "rceg", iters=8, start=(x, y), eta=0.2, keep_averages=True)
-        assert [t for t, _ in res.averages] == list(range(1, 9))
-        # the same fold by hand over the same steps
-        s, avg = make_state(p, x, y, 0.2), None
-        for t in range(8):
-            s = rceg_step(p, s)
-            avg = geodesic_average_update(p.domain, avg, s.extrapolated, t)
-        np.testing.assert_allclose(res.averages[-1][1].value, avg.value, atol=0)
+        """Each player's running mean equals, bit for bit at every ``t``,
+        the geodesic average of the extrapolated pairs folded by hand on
+        the product manifold: Euclidean, sphere x SPD and SPD x SPD."""
+        for problem, start, eta in three_geometries():
+            res = run(problem, "rceg", iters=8, start=start, eta=eta, keep_averages=True)
+            assert res.status == "ok", res.diagnostic
+            assert [t for t, _, _ in res.averages] == list(range(1, 9))
+            prod = Product(problem.manifold_x, problem.manifold_y)
+            s, avg = make_state(problem, *start, eta), None
+            for t, x_bar, y_bar in res.averages:
+                s = rceg_step(problem, s)
+                avg = geodesic_average_update(prod, avg, prod.join(s.w, s.z), t - 1)
+                hand_x, hand_y = prod.split(avg)
+                assert np.array_equal(x_bar.value, hand_x.value) and np.array_equal(y_bar.value, hand_y.value)
 
     def test_averaged_pair_accessor(self):
         """The averaged pair of a run is its last kept average."""
@@ -972,7 +978,7 @@ class TestRun:
         x = p.manifold_x.point(random_spd(2, 0.6, 1.8, rng))
         y = p.manifold_y.point(random_spd(2, 0.6, 1.8, rng))
         res = run(p, "rceg", iters=4, start=(x, y), eta=0.2, keep_averages=True)
-        xb, yb = p.domain.split(res.averages[-1][1])
+        _, xb, yb = res.averages[-1]
         assert xb.manifold is p.manifold_x
         assert yb.manifold is p.manifold_y
 
@@ -1053,7 +1059,7 @@ class TestRun:
         far = [0.0, 0.0]
         for _ in range(25):
             state = rceg_step(p, state)
-            x, y = p.domain.split(state.current)
+            x, y = (state.x, state.y)
             far = [max(far[0], mx.distance(x, x0)), max(far[1], my.distance(y, y0))]
         assert res.max_dist_from_start == tuple(far)
         assert far[0] > 0.0 and far[1] > 0.0
