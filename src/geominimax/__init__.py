@@ -15,7 +15,6 @@ from .curvature import rceg_step_size, tau, xi, zeta
 from .errors import (
     ConfigError,
     ContractError,
-    DegenerateInputError,
     DomainError,
     GeominimaxError,
     NoUniqueGeodesicError,
@@ -68,7 +67,6 @@ __all__ = [
     "ParameterError",
     "ContractError",
     "DomainError",
-    "DegenerateInputError",
     "NumericalError",
     "StepTooLongError",
     "NoUniqueGeodesicError",

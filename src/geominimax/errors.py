@@ -11,7 +11,6 @@ __all__ = [
     "ParameterError",
     "ContractError",
     "DomainError",
-    "DegenerateInputError",
     "NumericalError",
     "StepTooLongError",
     "NoUniqueGeodesicError",
@@ -33,10 +32,6 @@ class ContractError(GeominimaxError, ValueError):
 
 class DomainError(GeominimaxError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
-
-
-class DegenerateInputError(DomainError):
-    """A matrix argument is rank deficient or otherwise degenerate."""
 
 
 class NumericalError(GeominimaxError, ArithmeticError):

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 
 __all__ = [
     "SpectralDecomposition",
@@ -20,7 +20,6 @@ __all__ = [
     "sym_eig",
     "spectral",
     "log_divided_differences",
-    "qr_orthonormal",
     "random_spd",
 ]
 
@@ -151,37 +150,6 @@ def log_divided_differences(lam: np.ndarray) -> np.ndarray:
     return np.divide(np.log1p(diff / v), diff, out=out, where=apart)
 
 
-def qr_orthonormal(b) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization with a deterministic sign convention.
-
-    Returns ``(q, r)`` with orthonormal columns in ``q`` and the diagonal
-    of ``r`` nonnegative, which makes the factorization unique for full
-    column rank input.
-
-    Raises
-    ------
-    DegenerateInputError
-        If ``b`` is (numerically) rank deficient, detected by a diagonal
-        entry of ``r`` at or below ``1e-12 * max(1, ||b||_F)``.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] < b.shape[1] or b.shape[1] < 1:
-        raise ParameterError(f"expected a tall or square matrix, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise DomainError("matrix contains non-finite entries")
-    q, r = np.linalg.qr(b)
-    diag = np.diagonal(r)
-    floor = POSITIVITY_FLOOR * max(1.0, float(np.linalg.norm(b)))
-    if np.min(np.abs(diag)) <= floor:
-        raise DegenerateInputError(
-            f"matrix is rank deficient: |r[{int(np.argmin(np.abs(diag)))},"
-            f"{int(np.argmin(np.abs(diag)))}]| = {np.min(np.abs(diag)):.6g} "
-            f"is below the floor {floor:.6g}"
-        )
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs, signs[:, None] * r
-
-
 def random_spd(n: int, mu: float, l: float, rng: np.random.Generator) -> np.ndarray:
     """Draw a random symmetric positive definite matrix with spectrum in [mu, l].
 
@@ -191,6 +159,11 @@ def random_spd(n: int, mu: float, l: float, rng: np.random.Generator) -> np.ndar
     ``[mu, l]``. Draws are bitwise reproducible for a given generator
     state; pass ``numpy.random.default_rng(seed)`` (PCG64) for a portable
     documented stream.
+
+    ``q`` keeps ``numpy.linalg.qr``'s column signs (Householder ``q`` is
+    orthogonal for any input): flipping a column negates both factors of
+    each term ``q_ik sigma_k q_jk``, exactly, so the bits do not depend on
+    a sign convention.
 
     Parameters
     ----------
@@ -208,6 +181,6 @@ def random_spd(n: int, mu: float, l: float, rng: np.random.Generator) -> np.ndar
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     if not (0.0 < mu <= l) or not np.isfinite(l):
         raise ParameterError(f"need 0 < mu <= l < inf, got mu={mu!r}, l={l!r}")
-    q, _ = qr_orthonormal(rng.standard_normal((n, n)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     sigma = rng.uniform(mu, l, size=n)
     return symmetrize((q * sigma) @ q.T)

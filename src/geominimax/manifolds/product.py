@@ -19,11 +19,11 @@ class Product(Manifold):
     component arrays. Every operation applies the component operation to
     each block; the distance is ``sqrt(d_A^2 + d_B^2)``. Curvature
     metadata combines as ``kappa_min = min``, ``kappa_max = max`` and
-    ``diameter_bound = sqrt(D_A^2 + D_B^2)``. Step-size constants are
-    always computed per factor, so the positive-curvature diameter
-    restriction is enforced by the factor constructors, not re-checked
-    here (a sphere times a wide flat factor is a legitimate domain even
-    though the combined diameter exceeds pi/2).
+    ``diameter_bound = sqrt(D_A^2 + D_B^2)``, which ``tau`` reads like any
+    manifold's. The constructor does not check ``sqrt(kappa_max) *
+    diameter_bound < pi/2``, so ``tau`` of a sphere times a wide flat or
+    SPD factor raises ``DomainError``: such a product is no ``eta = auto``
+    player, though each factor is valid alone.
     """
 
     name = "product"

@@ -54,8 +54,8 @@ class MinimaxProblem:
         via :meth:`smoothness`.
     smoothness_source : str
         How ``smoothness_l`` was obtained: ``"given"`` (the default) for a
-        constant passed in, ``"power_iteration"`` where a factory computes
-        it, ``"sampled"`` once :meth:`smoothness` has estimated it.
+        constant passed in, ``"operator_norm"`` where a factory computes
+        it exactly, ``"sampled"`` once :meth:`smoothness` has estimated it.
     known_saddle : (Point, Point) or None
         Reference saddle point when one is known in closed form.
     best_response_x : callable Point -> Point, or None
@@ -165,37 +165,12 @@ def estimate_smoothness(problem: MinimaxProblem, rng: Optional[np.random.Generat
     return 2.0 * worst
 
 
-def _operator_norm(b: np.ndarray) -> float:
-    """Largest singular value of ``b`` by power iteration on ``b.T b``.
-
-    Deterministic: starts from a fixed slightly-perturbed uniform vector
-    and runs until the Rayleigh quotient stabilizes (at most 500
-    sweeps). A small multiplicative headroom guards against the
-    estimate lagging the true norm.
-    """
-    n = b.shape[1]
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(500):
-        w = b.T @ (b @ v)
-        nw = float(np.linalg.norm(w))
-        if nw < 1e-300:
-            return 0.0
-        v = w / nw
-        cur = float(v @ (b.T @ (b @ v)))
-        if abs(cur - prev) <= 1e-14 * max(1.0, cur):
-            break
-        prev = cur
-    return math.sqrt(max(cur, 0.0)) * (1.0 + 1e-9)
-
-
 def euclidean_quadratic(b) -> MinimaxProblem:
     """Bilinear coupling ``f(x, y) = x . (b y)`` on R^n x R^n.
 
     The unique saddle point is the origin pair; the smoothness constant
-    is the operator norm of ``b`` (power-iteration estimate). Both
-    factors have the ``Euclidean`` default diameter 10.
+    is exactly the operator norm ``||b||_2``. Both factors have the
+    ``Euclidean`` default diameter 10.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
@@ -223,8 +198,8 @@ def euclidean_quadratic(b) -> MinimaxProblem:
         value=value,
         grad_x=grad_x,
         grad_y=grad_y,
-        smoothness_l=_operator_norm(b),
-        smoothness_source="power_iteration",
+        smoothness_l=float(np.linalg.norm(b, 2)),
+        smoothness_source="operator_norm",
         known_saddle=saddle,
     )
 

@@ -7,7 +7,7 @@ import pytest
 from geominimax.checks import _triangle_comparison_line
 from geominimax.curvature import rceg_step_size, tau, xi, zeta
 from geominimax.errors import DomainError, ParameterError
-from geominimax.manifolds import Euclidean, Spd, Sphere
+from geominimax.manifolds import Euclidean, Product, Spd, Sphere
 
 
 def coth(x):
@@ -109,6 +109,21 @@ class TestTau:
         t = tau(bounds(-1.0, 1.0, math.pi / 4.0))
         assert abs(t - coth(math.pi / 4.0)) < 1e-14
         assert abs(t - 1.52487) < 1e-5
+
+    def test_product_reads_its_combined_bounds(self):
+        # A product's kappa_max is its factors' max and its diameter is
+        # hypot(D_A, D_B), so a sphere factor limits the whole product:
+        # sqrt(1) * hypot(pi/4, 10) = 10.03 and hypot(pi/4, 4) = 4.08 are
+        # past pi/2, while two default spheres give D = pi / (2 sqrt(2))
+        # and tau = zeta(0, D) / xi(1, D) = tan(D) / D, about 1.8168.
+        with pytest.raises(DomainError):
+            tau(Product(Sphere(3), Euclidean(2)))
+        with pytest.raises(DomainError):
+            tau(Product(Sphere(3), Spd(2, 4.0)))
+        d = math.pi / (2.0 * math.sqrt(2.0))
+        t = tau(Product(Sphere(3), Sphere(3)))
+        assert abs(t - math.tan(d) / d) < 1e-14
+        assert abs(t - 1.8168) < 1e-4
 
     def test_positive_lower_bound_counts_as_flat(self):
         assert tau(bounds(0.5, 1.0, 1.0)) == tau(bounds(0.0, 1.0, 1.0))

@@ -275,9 +275,9 @@ class TestRunExperiment:
         assert meta["diameter_bound"] == [10.0, 10.0]
         assert meta["max_dist_from_start"] == list(outcome.result.max_dist_from_start)
         assert meta["domain_exceeded"] is False
-        # eta = auto on a flat pair is 1 / (2 L), with L from power iteration
+        # eta = auto on a flat pair is 1 / (2 L), with L the operator norm of b
         assert meta["smoothness"] == pytest.approx(1.0 / (2.0 * meta["eta"]), rel=1e-12)
-        assert meta["smoothness_source"] == "power_iteration"
+        assert meta["smoothness_source"] == "operator_norm"
         assert meta["gap_unavailable"] == 0 and meta["gap_unavailable_reason"] is None
 
     def test_meta_smoothness_is_null_when_no_constant_is_needed(self, tmp_path, monkeypatch):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from geominimax.errors import (
-    DegenerateInputError,
-    DomainError,
-    ParameterError,
-)
+from geominimax.errors import DomainError, ParameterError
 from geominimax.linalg import (
     SpectralDecomposition,
-    qr_orthonormal,
     random_spd,
     spectral,
     sym_eig,
@@ -99,7 +94,7 @@ def reference_sym_eig(a) -> SpectralDecomposition:
 
 def repeated_eigenvalue(n, rng):
     """A rotated SPD matrix whose top eigenvalue is repeated n // 2 times."""
-    q, _ = qr_orthonormal(rng.standard_normal((n, n)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = np.where(np.arange(n) < n // 2, 3.0, rng.uniform(0.5, 2.0, size=n))
     return symmetrize((q * lam) @ q.T)
 
@@ -270,36 +265,6 @@ class TestStacks:
             sym_eig(bad)
 
 
-class TestQrOrthonormal:
-    def test_identity(self):
-        q, r = qr_orthonormal(np.eye(3))
-        np.testing.assert_allclose(q, np.eye(3))
-        np.testing.assert_allclose(r, np.eye(3))
-
-    def test_sign_fix_on_diagonal_input(self):
-        q, r = qr_orthonormal(np.diag([-2.0, 3.0]))
-        np.testing.assert_allclose(q, np.diag([-1.0, 1.0]))
-        np.testing.assert_allclose(r, np.diag([2.0, 3.0]))
-
-    def test_orthonormal_and_reconstructs(self):
-        rng = np.random.default_rng(21)
-        for _ in range(500):
-            m = int(rng.integers(1, 8))
-            n = int(rng.integers(1, m + 1))
-            b = rng.standard_normal((m, n))
-            q, r = qr_orthonormal(b)
-            np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-10)
-            assert np.all(np.diagonal(r) >= 0.0)
-            np.testing.assert_allclose(q @ r, b, atol=1e-10 * max(1.0, np.linalg.norm(b)))
-
-    def test_rank_deficient_rejected(self):
-        b = np.ones((4, 2))
-        with pytest.raises(DegenerateInputError):
-            qr_orthonormal(b)
-        with pytest.raises(DegenerateInputError):
-            qr_orthonormal(np.zeros((3, 3)))
-
-
 class TestRandomSpd:
     def test_spectrum_range(self):
         rng = np.random.default_rng(31)
@@ -317,6 +282,21 @@ class TestRandomSpd:
         a = random_spd(6, 0.5, 2.0, np.random.default_rng(99))
         b = random_spd(6, 0.5, 2.0, np.random.default_rng(99))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 30])
+    def test_bits_match_sign_fixed_qr(self, n):
+        """``q``'s column signs cancel in ``(q * sigma) @ q.T``, so the draw
+        has the bits of one made with a QR whose ``r`` has a nonnegative
+        diagonal."""
+
+        def reference(rng):
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
+            q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+            return symmetrize((q * rng.uniform(0.2, 4.5, size=n)) @ q.T)
+
+        for seed in range(50):
+            got = random_spd(n, 0.2, 4.5, np.random.default_rng(seed))
+            assert np.array_equal(got, reference(np.random.default_rng(seed))), seed
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(0)

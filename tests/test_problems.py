@@ -113,7 +113,15 @@ class TestEuclideanQuadratic:
         for _ in range(20):
             b = rng.standard_normal((5, 5))
             prob = euclidean_quadratic(b)
-            assert prob.smoothness_l == pytest.approx(np.linalg.norm(b, 2), rel=1e-6)
+            assert prob.smoothness_l == np.linalg.norm(b, 2)
+
+    def test_smoothness_is_never_below_the_2_norm(self):
+        """``eta = auto`` is safe only if ``L`` is at least ``||b||_2``. On
+        ``build_problem``'s coupling for n = 20, seed 19 (``||b||_2`` =
+        7.4253199277), an iterative estimate with 1e-9 relative headroom
+        can still stop 3.9e-8 short."""
+        b = np.random.default_rng(19).standard_normal((20, 20))
+        assert euclidean_quadratic(b).smoothness_l >= np.linalg.norm(b, 2)
 
     def test_rejects_bad_matrix(self):
         with pytest.raises(ParameterError):
@@ -577,10 +585,10 @@ class TestSmoothnessEstimate:
     def test_sampled_constant_bounds_the_operator_norm(self, seed):
         """``eta = auto`` is safe only if the sampled ``L`` is at least the
         true constant; on the flat bilinear instance that is the operator
-        norm, which the problem knows by power iteration."""
+        norm, which the problem computes exactly."""
         cfg = ExperimentConfig(problem="euclidean_quadratic", n=20, algo="rceg", iters=1, seed=seed)
         prob = build_problem(cfg)[0]
-        assert prob.smoothness_source == "power_iteration"
+        assert prob.smoothness_source == "operator_norm"
         assert estimate_smoothness(prob) >= prob.smoothness_l
 
     def test_deterministic_default_stream(self):
