@@ -24,18 +24,40 @@ class Spd(Manifold):
     A Hadamard manifold: sectional curvature lies in [-1/2, 0], geodesics
     are globally length-minimizing, and exp/log are inverse bijections.
     Tangent vectors are symmetric matrices. The closed forms used here
-    conjugate by ``x^{1/2}``:
+    conjugate by a factor ``F`` of the base point, ``x = F F^T``; every one
+    of them is affine-invariant, so any such factor gives the same result
+    (Pennec, Fillard & Ayache, IJCV 2006):
 
-    - ``Exp_x(v) = x^{1/2} expm(x^{-1/2} v x^{-1/2}) x^{1/2}``
-    - ``Log_x(y) = x^{1/2} logm(x^{-1/2} y x^{-1/2}) x^{1/2}``
-    - ``d(x, y) = || logm(x^{-1/2} y x^{-1/2}) ||_F``
+    - ``Exp_x(v) = F expm(F^-1 v F^-T) F^T``
+    - ``Log_x(y) = F logm(F^-1 y F^-T) F^T``
+    - ``d(x, y) = || logm(F^-1 y F^-T) ||_F``
+    - ``x^-1 = F^-T F^-1``
     - transport of ``v`` from ``x`` to ``y`` is ``e v e^T`` with
-      ``e = x^{1/2} (x^{-1/2} y x^{-1/2})^{1/2} x^{-1/2}``.
+      ``e = F (F^-1 y F^-T)^{1/2} F^-1``.
 
-    Each point caches its eigendecomposition (and the square roots
-    derived from it) the first time an operation needs it. Points made by
-    :meth:`exp` are validated as :meth:`point` validates its input, so a
-    step that underflows to a singular matrix raises ``DomainError``.
+    A point validated by :meth:`point`, or drawn by a global
+    :meth:`random_point`, takes ``F = x^{1/2}`` from its own
+    eigendecomposition the first time an operation needs it, with
+    ``x^-1`` from the same decomposition. A point made by :meth:`exp` from
+    ``x`` with ``F^-1 v F^-T = Q diag(lam) Q^T`` carries the factor of the
+    geodesic instead and is never decomposed for it:
+
+    - ``y = F Q e^lam Q^T F^T``, symmetrized;
+    - ``F_y = F Q e^{lam/2}``;
+    - ``F_y^-1 = e^{-lam/2} Q^T F^-1``, refined by one Newton-Schulz step
+      ``X <- 2 X - X F_y X`` so that rounding in ``F^-1 F`` does not
+      accumulate along a run.
+
+    The new point must be positive definite to the floor that
+    :meth:`point` applies: ``lam_min(y) > 1e-12 max(1, lam_max(y))``. As
+    ``||F_y||_F^2 = tr(y) >= lam_max`` and ``||F_y^-1||_F^2 = tr(y^-1) >=
+    1 / lam_min``, ``y`` is accepted without a decomposition when
+    ``1 > 2e-12 ||F_y^-1||_F^2 max(1, ||F_y||_F^2)``. Otherwise ``y`` is
+    decomposed and held to the exact rule, so a step that underflows to a
+    singular matrix raises the ``DomainError`` of :meth:`point`. Its own
+    eigendecomposition and square roots are still computed, lazily, where
+    an operation needs them: the closed-form tangent basis and
+    ``robust_pca``'s best response.
 
     Parameters
     ----------
@@ -88,8 +110,26 @@ class Spd(Manifold):
     def _isqrt(self, x: Point) -> np.ndarray:
         return self._cached_spectral(x, "isqrt", np.sqrt, inverse=True)
 
+    def _factor(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(F, F^T, F^-1, F^-T)`` with ``x = F F^T``: the factor :meth:`exp`
+        left on a point it made, else ``(x^{1/2}, x^{1/2}, x^{-1/2},
+        x^{-1/2})``. The transposes are entries of their own: at such a
+        point ``F^T`` is ``x^{1/2}`` itself, and a product with the view
+        ``x^{1/2}.T`` would round differently."""
+        f = x.cache.get("factor")
+        if f is None:
+            sq, isq = self._sqrt(x), self._isqrt(x)
+            f = (sq, sq, isq, isq)
+        return f
+
     def _inv(self, x: Point) -> np.ndarray:
-        return self._cached_spectral(x, "inv", inverse=True)
+        """``x^-1``: ``F^-T F^-1`` on a point :meth:`exp` made, else from the
+        point's eigendecomposition."""
+        inv = x.cache.get("inv")
+        if inv is None:
+            f = x.cache.get("factor")
+            inv = x.cache["inv"] = spectral(self._dec(x), inverse=True) if f is None else f[3] @ f[2]
+        return inv
 
     # -- manifold interface ---------------------------------------------
 
@@ -121,13 +161,15 @@ class Spd(Manifold):
         return np.einsum("...ij,...ji->...", a, a if v is u else inv @ v)
 
     def _conj_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
-        """Eigendecomposition of ``x^{-1/2} a x^{-1/2}``."""
-        isq = self._isqrt(x)
-        return sym_eig(isq @ a @ isq)
+        """Eigendecomposition of ``F^-1 a F^-T``."""
+        _, _, fi, fit = self._factor(x)
+        return sym_eig(fi @ a @ fit)
 
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
-        dec = self._conj_dec(x, v.value)
+        fac = self._factor(x)
+        f, ft, fi, fit = fac
+        dec = sym_eig(fi @ v.value @ fit)
         lam = dec.eigenvalues  # descending, so its largest magnitude is at one end
         top = max(float(lam[0]), -float(lam[-1]))
         if top > _EXP_EIG_GUARD:
@@ -135,19 +177,25 @@ class Spd(Manifold):
                 f"tangent is too long for the SPD exponential: leading conjugated "
                 f"eigenvalue {top:.6g} exceeds the overflow guard {_EXP_EIG_GUARD:.0f}"
             )
-        sq = self._sqrt(x)
-        y = Point._wrap(self, symmetrize(sq @ spectral(dec, np.exp) @ sq))
-        self._dec(y)  # a step can underflow to a singular matrix; reject it here
-        y.cache["geodesic"] = (sq, dec)
+        y = Point._wrap(self, symmetrize(f @ spectral(dec, np.exp) @ ft))
+        half = np.exp(0.5 * lam)
+        fy = (f @ dec.q) * half
+        fyi = (dec.q.T @ fi) / half[:, None]
+        fyi = 2.0 * fyi - fyi @ (fy @ fyi)
+        # tr(y^-1) max(1, tr(y)) bounds 1 / lam_min max(1, lam_max) from above.
+        if not 1.0 > 2.0 * POSITIVITY_FLOOR * np.vdot(fyi, fyi) * max(1.0, np.vdot(fy, fy)):
+            self._dec(y)  # a step can underflow to a singular matrix; the exact rule rejects it
+        y.cache["factor"] = (fy, fy.T, fyi, fyi.T)
+        y.cache["geodesic"] = (fac, dec)
         return y
 
     def _reverse_velocity(self, y: Point) -> np.ndarray:
-        # Minus the velocity at t = 1 of x^{1/2} expm(t A) x^{1/2}, A = x^{-1/2} v x^{-1/2}.
-        sq, dec = y.cache["geodesic"]
-        return symmetrize(sq @ spectral(dec, lambda lam: -lam * np.exp(lam)) @ sq)
+        # Minus the velocity at t = 1 of F expm(t A) F^T, A = F^-1 v F^-T.
+        (f, ft, _, _), dec = y.cache["geodesic"]
+        return symmetrize(f @ spectral(dec, lambda lam: -lam * np.exp(lam)) @ ft)
 
     def _log_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
-        """Eigendecomposition of ``w = x^{-1/2} a x^{-1/2}``, for one target or a stack.
+        """Eigendecomposition of ``w = F^-1 a F^-T``, for one target or a stack.
 
         Raises ``DomainError`` naming the first member whose ``w`` is not
         positive definite to the relative floor. A stack is checked in one
@@ -190,8 +238,8 @@ class Spd(Manifold):
         self._check_point(x)
         if dec is None:
             dec = self._log_dec(x, a)
-        sq = self._sqrt(x)
-        return symmetrize(sq @ spectral(dec, np.log) @ sq)
+        f, ft, _, _ = self._factor(x)
+        return symmetrize(f @ spectral(dec, np.log) @ ft)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(y)
@@ -202,7 +250,7 @@ class Spd(Manifold):
 
         ``targets`` has shape ``(k, n, n)``; the result is the ``(k, n, n)``
         logarithms and their ``(k,)`` squared norms. The conjugations
-        ``x^{-1/2} a_i x^{-1/2}`` are one matmul over the stack and their
+        ``F^-1 a_i F^-T`` are one matmul over the stack and their
         eigendecompositions one ``eigh`` call. Member ``i`` is bitwise
         equal to ``log(x, point(a_i)).value`` and to ``inner`` of that
         tangent with itself, and a target that :meth:`log` would reject
@@ -215,8 +263,8 @@ class Spd(Manifold):
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)
         x = v.base
-        half = spectral(self._log_dec(x, y.value), np.sqrt)
-        e = self._sqrt(x) @ half @ self._isqrt(x)
+        f, _, fi, _ = self._factor(x)
+        e = f @ spectral(self._log_dec(x, y.value), np.sqrt) @ fi
         return Tangent._wrap(y, symmetrize(e @ v.value @ e.T))
 
     def distance(self, x: Point, y: Point) -> float:

@@ -63,6 +63,12 @@ class MinimaxProblem:
         a closed form. :func:`~geominimax.solvers.estimate_duality_gap`
         uses it in place of an inner Riemannian descent; ``None`` keeps
         the descent.
+    concavity_y : float or None
+        Modulus ``mu > 0`` of strong geodesic concavity of every slice
+        ``f(x, .)``, for problems that declare one. At any ``y`` it bounds
+        the slice maximum: ``max f(x, .) <= f(x, y) + ||grad_y f(x, y)||^2
+        / (2 mu)``. :func:`~geominimax.solvers.estimate_duality_gap` stops
+        its ascent by it; ``None`` keeps the fixed gradient tolerance.
     """
 
     name: str
@@ -75,6 +81,7 @@ class MinimaxProblem:
     smoothness_source: str = "given"
     known_saddle: Optional[tuple[Point, Point]] = None
     best_response_x: Optional[Callable[[Point], Point]] = None
+    concavity_y: Optional[float] = None
     _smoothness_used: bool = field(default=False, repr=False)
 
     def smoothness(self) -> float:
@@ -210,7 +217,7 @@ def _spd_distance_to_identity(a: np.ndarray) -> float:
 
 
 def _bilinear_log(m: Spd, p: Point, target: Point, key: str) -> tuple[np.ndarray, SpectralDecomposition]:
-    """``(Log_p(target), eig(w))`` with ``w = p^{-1/2} target p^{-1/2}``, cached on ``p``."""
+    """``(Log_p(target), eig(w))`` with ``w = F^-1 target F^-T`` for ``p = F F^T``, cached on ``p``."""
     got = p.cache.get(key)
     if got is None:
         wdec = m._log_dec_to(p, target)
@@ -224,7 +231,7 @@ def _bilinear_grad(m: Spd, p: Point, wdec: SpectralDecomposition, b: np.ndarray)
     log_lam = np.log(lam)
     mean_log = (log_lam[:, None] + log_lam) / 2.0
     weights = mean_log - log_divided_differences(lam) * ((lam[:, None] + lam) / 2.0)
-    pq = m._sqrt(p) @ wdec.q
+    pq = m._factor(p)[0] @ wdec.q
     return Tangent._wrap(p, symmetrize(pq @ (weights * (pq.T @ b @ pq)) @ pq.T))
 
 
@@ -233,19 +240,20 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
 
     ``(x0, y0)`` is the saddle point, with value 0 there. Gradients are in
     closed form, from the eigendecomposition the value already needs.
-    Write ``Log_x(x0) = s K s`` with ``s = x^{1/2}``,
-    ``w = s^{-1} x0 s^{-1} = Q diag(lam) Q^T``, ``K = log(w)`` and
-    ``B = Log_y(y0)``. The Riemannian gradient of ``tr(Log_x(x0) B)`` in
-    ``x`` is
+    Write ``Log_x(x0) = F K F^T`` with ``F`` the factor of ``x = F F^T``
+    that :class:`~geominimax.manifolds.Spd` holds (``x^{1/2}``, or the one
+    its exponential made), ``w = F^-1 x0 F^-T = Q diag(lam) Q^T``,
+    ``K = log(w)`` and ``B = Log_y(y0)``. The Riemannian gradient of
+    ``tr(Log_x(x0) B)`` in ``x`` is
 
-        G = P (M * (P^T B P)) P^T,    P = s Q,
+        G = P (M * (P^T B P)) P^T,    P = F Q,
         M_ij = (log lam_i + log lam_j) / 2 - L_ij (lam_i + lam_j) / 2,
 
     with ``*`` the entrywise product and ``L`` the divided differences of
     ``log`` on ``lam`` (:func:`~geominimax.linalg.log_divided_differences`).
-    Derivation: moving ``x`` along ``s e^{t Xi} s`` with the factor
-    ``g(t) = s e^{t Xi / 2}``, affine invariance gives
-    ``D Log_x(x0)[s Xi s] = s ((Xi K + K Xi) / 2 - Dlog(w)[(Xi w + w Xi) / 2]) s``,
+    Derivation: moving ``x`` along ``F e^{t Xi} F^T`` with the factor
+    ``g(t) = F e^{t Xi / 2}``, affine invariance gives
+    ``D Log_x(x0)[F Xi F^T] = F ((Xi K + K Xi) / 2 - Dlog(w)[(Xi w + w Xi) / 2]) F^T``,
     which in ``w``'s eigenbasis is ``M`` times ``Q^T Xi Q`` entrywise;
     pairing it with ``B`` and reading off the affine-invariant metric
     gives ``G``. ``grad_y`` swaps the roles of the two blocks.
@@ -324,9 +332,16 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
 
     The sphere slice ``min_x f(x, m) = -lambda_max(m) - pen(m)`` is solved
     exactly by a leading eigenvector of ``m``. ``best_response_x`` returns
-    the first column of the eigendecomposition that every matrix point
-    already caches (``Spd.point`` and ``Spd.exp`` validate with it), so
-    the duality-gap estimate gets it without a new eigendecomposition.
+    the first column of ``m``'s eigendecomposition. A point ``Spd.point``
+    validated already holds it; a point ``Spd.exp`` made carries a factor
+    instead and is decomposed here, one ``eigh`` per duality-gap estimate.
+
+    The matrix slice ``m -> f(x, m)`` is ``2 alpha``-strongly g-concave,
+    which ``concavity_y`` declares: ``m -> x.(m x)`` is g-convex under
+    the affine-invariant metric (along ``F e^{tS} F^T`` it is a sum of
+    ``c_i^2 e^{t lam_i}``), and ``d^2(., m_i)`` is 2-strongly g-convex
+    on a Hadamard manifold (Bacak, *Convex Analysis and Optimization in
+    Hadamard Spaces*, 2014).
 
     The sphere factor's declared diameter is the ``Sphere`` default pi/4,
     and the SPD factor's is twice the data spread around its first
@@ -396,6 +411,7 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
         smoothness_l=None,
         known_saddle=None,
         best_response_x=best_response_x,
+        concavity_y=2.0 * alpha,
     )
 
 

@@ -201,6 +201,71 @@ class TestSpd:
         with pytest.raises(DomainError, match="not positive definite"):
             m.exp(x, m.tangent(x, np.diag([-40.0, 0.0])))
 
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_a_singular_exp_is_rejected_by_the_exact_rule(self, monkeypatch):
+        """The trace bound cannot accept ``exp(-40) = 4e-18``, so ``exp``
+        decomposes the new point and raises the message :meth:`Spd.point`
+        gives for the same matrix."""
+        m = Spd(2)
+        x = m.identity()
+        v = m.tangent(x, np.diag([-40.0, 0.0]))
+        with pytest.raises(DomainError) as direct:
+            m.point(np.diag([math.exp(-40.0), 1.0]))
+        calls = self.count_eigh(monkeypatch)
+        with pytest.raises(DomainError) as stepped:
+            m.exp(x, v)
+        assert str(stepped.value) == str(direct.value)
+        assert calls == [(2, 2), (2, 2)]  # the step's conjugation, then the new point's own
+
+    def test_a_point_near_the_floor_passes_the_exact_rule(self, monkeypatch):
+        """``diag(1.5e-12, 1)`` fails the trace bound (``2e-12 tr(y^-1) =
+        1.33``) but its smallest eigenvalue is above the floor 1e-12: the
+        exact rule accepts it, and the point keeps the exponential's factor."""
+        m = Spd(2)
+        x = m.identity()
+        calls = self.count_eigh(monkeypatch)
+        y = m.exp(x, m.tangent(x, np.diag([math.log(1.5e-12), 0.0])))
+        assert calls == [(2, 2), (2, 2)]
+        assert y.value[0, 0] == pytest.approx(1.5e-12, rel=1e-12)
+        f, ft, _, _ = m._factor(y)
+        np.testing.assert_allclose(f @ ft, y.value, rtol=0, atol=1e-15)
+        calls.clear()
+        m.exp(x, m.tangent(x, np.diag([math.log(1e-11), 0.0])))  # 2e-12 tr(y^-1) = 0.2: accepted unseen
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_exp_factor_reproduces_the_point(self, n, monkeypatch):
+        """A point ``exp`` made carries ``F``, ``F^T``, ``F^-1`` and ``F^-T``
+        with ``F F^T = y`` and ``F^-1 F = I`` to rounding, along a chain
+        of steps, and is never decomposed; ``x^-1`` is ``F^-T F^-1``."""
+        from geominimax.linalg import random_spd
+
+        m = Spd(n)
+        rng = np.random.default_rng(140 + n)
+        y = m.point(random_spd(n, 0.2, 4.5, rng))
+        steps = [m.random_tangent(y, rng, norm=length) for length in (0.1, 0.5, 2.0, 5.0)]
+        calls = self.count_eigh(monkeypatch)
+        for v in steps:
+            y = m.exp(y, Tangent(y, v.value))  # drawn ahead: a basis at y would decompose it
+        assert len(calls) == len(steps)  # one conjugation per step, no decomposition of a new point
+        f, ft, fi, fit = m._factor(y)
+        assert np.array_equal(ft, f.T) and np.array_equal(fit, fi.T)
+        assert np.linalg.norm(f @ ft - y.value) <= 1e-14 * np.linalg.norm(y.value)
+        assert np.linalg.norm(fi @ f - np.eye(n), 2) <= 1e-14
+        inv = np.linalg.inv(y.value)
+        assert np.linalg.norm(m._inv(y) - inv) <= 1e-12 * np.linalg.norm(inv)
+
 
 class TestSpdLogStack:
     @pytest.mark.parametrize("n", [3, 10, 30])

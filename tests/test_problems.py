@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geominimax.errors import NumericalError, ParameterError
-from geominimax.harness import ExperimentConfig, build_problem
+from geominimax.harness import ExperimentConfig, build_problem, parse_config
 from geominimax.linalg import random_spd, spectral, sym_eig, symmetrize
 from geominimax.manifolds import Euclidean, Spd, Sphere
 from geominimax.problems import (
@@ -16,6 +17,8 @@ from geominimax.problems import (
     spd_bilinear,
 )
 from geominimax.solvers import riemannian_gd, run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def problems_with_points():
@@ -309,14 +312,15 @@ class TestSpdBilinear:
         res = run(prob, "rceg", iters=20, start=start, eta=0.2)
         assert res.status == "ok"
 
-    def test_fourteen_eigendecompositions_per_rceg_step(self, monkeypatch):
-        """A step makes four SPD points, each with two ``eigh``: the
-        exponential's and the new point's own (8). Each then takes a
-        logarithm toward the saddle, shared by the value, the gradient and
-        ``dist_to_ref`` (4). The new pair's distances from the start (2)
-        make 14; the correction's ``Log_w(x)`` comes from the
-        extrapolation's own decomposition. The start costs two, one
-        logarithm toward the saddle per factor."""
+    def test_ten_eigendecompositions_per_rceg_step(self, monkeypatch):
+        """A step makes four SPD points, each with the exponential's one
+        ``eigh`` (4); a new point carries the exponential's factor and is
+        not decomposed itself. Each then takes a logarithm toward the
+        saddle, shared by the value, the gradient and ``dist_to_ref`` (4).
+        The new pair's distances from the start (2) make 10; the
+        correction's ``Log_w(x)`` comes from the extrapolation's own
+        decomposition. The start costs two, one logarithm toward the
+        saddle per factor."""
         rng = np.random.default_rng(42)
         prob = spd_bilinear(random_spd(6, 0.8, 1.25, rng), random_spd(6, 0.8, 1.25, rng))
         eigh = np.linalg.eigh
@@ -334,7 +338,7 @@ class TestSpdBilinear:
                 patch.setattr(np.linalg, "eigh", counted)
                 assert run(prob, "rceg", iters=iters, start=start, eta=0.2).status == "ok"
             counts.append(len(calls))
-        assert counts == [2 + 14 * iters for iters in (1, 10, 25)]
+        assert counts == [2 + 10 * iters for iters in (1, 10, 25)]
 
     def test_distance_to_the_saddle_reuses_the_gradient_decomposition(self, monkeypatch):
         """After a gradient at ``(x, y)``, the distance of each factor to the
@@ -413,12 +417,13 @@ class TestRobustPca:
             assert prob.value(x, m) == value
             assert np.array_equal(prob.grad_y(x, m).value, grad)
 
-    def test_seven_eigendecompositions_per_rceg_step(self, monkeypatch):
-        """With the gap off, a step makes two SPD points, each with two
-        single ``eigh`` (the exponential's and the point's own) and one
-        stacked ``eigh`` for its k data logarithms. The new point's
-        distance from the start makes five single calls; the correction
-        ``Log_z(y)`` takes none. The start's penalty is one stacked call."""
+    def test_five_eigendecompositions_per_rceg_step(self, monkeypatch):
+        """With the gap off, a step makes two SPD points, each with one
+        single ``eigh`` (the exponential's; the new point carries its
+        factor and is not decomposed) and one stacked ``eigh`` for its k
+        data logarithms. The new point's distance from the start makes
+        three single calls; the correction ``Log_z(y)`` takes none. The
+        start's penalty is one stacked call."""
         rng = np.random.default_rng(43)
         data = [random_spd(5, 0.2, 4.5, rng) for _ in range(4)]
         prob = robust_pca(data, 1.0)
@@ -437,7 +442,7 @@ class TestRobustPca:
                 patch.setattr(np.linalg, "eigh", counted)
                 assert run(prob, "rceg", iters=iters, start=start, eta=0.05).status == "ok"
             counts.append((calls.count(2), calls.count(3)))
-        assert counts == [(5 * iters, 1 + 2 * iters) for iters in (1, 10, 25)]
+        assert counts == [(3 * iters, 1 + 2 * iters) for iters in (1, 10, 25)]
 
     def test_one_eigendecomposition_per_new_matrix_point(self, monkeypatch):
         prob = self.make(n=5, k=6)
@@ -459,8 +464,25 @@ class TestRobustPca:
             prob.value(x, m)
             prob.grad_y(x, m)
             prob.value(x, m)
-            prob.best_response_x(m)  # reads the decomposition the point already has
             assert calls == [(6, 5, 5)]
+            prob.best_response_x(m)  # decomposes the point, which carries only a factor
+            prob.best_response_x(m)
+            assert calls == [(6, 5, 5), (5, 5)]
+
+    def test_matrix_factor_stays_exact_over_the_shipped_run(self):
+        """After the 2000 RCEG steps of ``configs/robust_pca_a2.cfg`` (gap
+        off), the matrix iterate, never decomposed, has ``F^-1 F = I`` to
+        1e-14: one Newton-Schulz step per exponential keeps the inverse
+        factor from drifting along the run."""
+        cfg = parse_config(ROOT / "configs" / "robust_pca_a2.cfg")
+        prob, x0, y0 = build_problem(cfg)
+        res = run(prob, "rceg", cfg.iters, (x0, y0), cfg.eta)
+        assert res.status == "ok" and res.state.t == 2000
+        y = res.state.y
+        assert "eig" not in y.cache
+        f, ft, fi, _ = prob.manifold_y._factor(y)
+        assert np.linalg.norm(fi @ f - np.eye(cfg.n), 2) <= 1e-14
+        assert np.linalg.norm(f @ ft - y.value) <= 1e-14 * np.linalg.norm(y.value)
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_best_response_x_is_the_sphere_slice_minimum(self, n):

@@ -2,6 +2,7 @@
 
 import pickle
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +32,11 @@ from geominimax import (
     spd_bilinear,
 )
 from geominimax import solvers
-from geominimax.harness import TRACE_HEADER, ExperimentConfig, build_problem
+from geominimax.harness import TRACE_HEADER, ExperimentConfig, build_problem, parse_config
 from geominimax.linalg import random_spd
 from geominimax.manifolds import Product
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def scalar_bilinear():
@@ -656,7 +659,67 @@ class TestRiemannianBb:
             riemannian_bb(m, lambda p: 0.0, lambda p: m.zero_tangent(p), m.point([0.0]), 0.1, -1, 1e-8)
 
 
+@pytest.fixture(scope="module", params=["robust_pca_a2", "robust_pca_a05"])
+def robust_pca_cadence_slices(request):
+    """A shipped robust PCA config's y slice ``phi = f(x^, .)`` at each of
+    its gap cadence points: ``(phi(y^), ||grad phi(y^)||^2, max phi)``,
+    the maximum by Barzilai-Borwein ascent from ``y^`` to a gradient norm
+    of 1e-8 with the budget :func:`run` gives. Also the penalty alpha."""
+    cfg = parse_config(ROOT / "configs" / f"{request.param}.cfg")
+    p, x0, y0 = build_problem(cfg)
+    my = p.manifold_y
+    eta = 1.0 / (2.0 * p.smoothness())
+    state = make_state(p, x0, y0, resolve_step_size(p, cfg.eta))
+    slices = []
+    for t in range(1, cfg.iters + 1):
+        state = rceg_step(p, state)
+        if t % cfg.gap_every == 0:
+            x, y = state.x, state.y
+            phi = lambda m: float(p.value(x, m))
+            top, _ = riemannian_bb(my, lambda m: -phi(m), lambda m: -1.0 * p.grad_y(x, m), y, eta, 10 * cfg.iters, 1e-8)
+            slices.append((phi(y), my.norm(p.grad_y(x, y)) ** 2, phi(top)))
+    return float(cfg.alpha), slices
+
+
+def concavity_bound_misses(slices, mu):
+    """Cadence points whose ascent maximum exceeds ``phi(y^) + ||g||^2 / (2 mu)``
+    by more than 1e-12 relative."""
+    return [top for here, g2, top in slices if top - (here + g2 / (2.0 * mu)) > 1e-12 * max(1.0, abs(top))]
+
+
 class TestDualityGap:
+    def test_declared_concavity_bounds_every_cadence_slice(self, robust_pca_cadence_slices):
+        """``robust_pca`` declares its y slice ``2 alpha``-strongly g-concave,
+        and the certified stop rests on ``max phi <= phi(y) + ||g(y)||^2 /
+        (2 mu)``. At all 40 cadence points of both shipped configs the
+        ascent to 1e-8 stays under the bound taken at ``y^`` itself. A
+        modulus of ``4 alpha`` claims too much and is caught."""
+        alpha, slices = robust_pca_cadence_slices
+        assert len(slices) == 40
+        assert robust_pca([np.eye(2)], alpha).concavity_y == 2.0 * alpha
+        assert concavity_bound_misses(slices, 2.0 * alpha) == []
+        assert len(concavity_bound_misses(slices, 4.0 * alpha)) >= 10
+
+    def test_certified_stop_survives_rounding_moves_of_the_last_iterate(self):
+        """The last cadence point of ``robust_pca_a2`` sat on a rounding knife
+        edge under the 1e-8 stop: moving ``y^`` by 1e-13 could leave the
+        ascent's line search without a decrease to find. The certified stop
+        ends the ascent well above that floor, so every move keeps an
+        estimate, and the estimates agree to 1e-9."""
+        cfg = parse_config(ROOT / "configs" / "robust_pca_a2.cfg")
+        p, x0, y0 = build_problem(cfg)
+        res = run(p, "rceg", cfg.iters, (x0, y0), cfg.eta)
+        x, y = res.state.x, res.state.y
+        my = p.manifold_y
+        rng = np.random.default_rng(7)
+        estimates = []
+        for _ in range(10):
+            moved = my.point(my.exp(y, my.random_tangent(y, rng, norm=1e-13)).value)
+            est = estimate_duality_gap(p, x, moved, 10 * cfg.iters)
+            assert est.estimate is not None, est.diagnostic
+            estimates.append(est.estimate)
+        assert max(estimates) - min(estimates) <= 1e-9
+
     def test_negative_inner_budget_is_rejected(self):
         """A negative budget is a caller error, not an "inner solver failed"
         estimate."""
