@@ -42,11 +42,13 @@ class Spd(Manifold):
     ``x`` with ``F^-1 v F^-T = Q diag(lam) Q^T`` carries the factor of the
     geodesic instead and is never decomposed for it:
 
-    - ``y = F Q e^lam Q^T F^T``, symmetrized;
     - ``F_y = F Q e^{lam/2}``;
+    - ``y = F_y F_y^T`` (``= F Q e^lam Q^T F^T``), symmetrized;
     - ``F_y^-1 = e^{-lam/2} Q^T F^-1``, refined by one Newton-Schulz step
       ``X <- 2 X - X F_y X`` so that rounding in ``F^-1 F`` does not
-      accumulate along a run.
+      accumulate along a run;
+    - the geodesic ``(F_y, lam)``, for RCEG's correction
+      ``Log_y(x) = -F_y diag(lam) F_y^T``.
 
     The new point must be positive definite to the floor that
     :meth:`point` applies: ``lam_min(y) > 1e-12 max(1, lam_max(y))``. As
@@ -153,12 +155,11 @@ class Spd(Manifold):
         a = np.asarray(a, dtype=float).reshape(self.n, self.n)
         return (a + a.T) / 2.0
 
-    def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-        """``tr(x^-1 u x^-1 v)``; for stacks ``(..., n, n)``, one value per member.
-        ``x^-1 u`` is formed once when ``v`` is ``u``, as for a norm."""
+    def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float:
+        """``tr(x^-1 u x^-1 v)``; ``x^-1 u`` is formed once when ``v`` is ``u``, as for a norm."""
         inv = self._inv(x)
         a = inv @ u
-        return np.einsum("...ij,...ji->...", a, a if v is u else inv @ v)
+        return np.einsum("ij,ji->", a, a if v is u else inv @ v)
 
     def _conj_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``F^-1 a F^-T``."""
@@ -167,8 +168,7 @@ class Spd(Manifold):
 
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
-        fac = self._factor(x)
-        f, ft, fi, fit = fac
+        f, _, fi, fit = self._factor(x)
         dec = sym_eig(fi @ v.value @ fit)
         lam = dec.eigenvalues  # descending, so its largest magnitude is at one end
         top = max(float(lam[0]), -float(lam[-1]))
@@ -177,22 +177,22 @@ class Spd(Manifold):
                 f"tangent is too long for the SPD exponential: leading conjugated "
                 f"eigenvalue {top:.6g} exceeds the overflow guard {_EXP_EIG_GUARD:.0f}"
             )
-        y = Point._wrap(self, symmetrize(f @ spectral(dec, np.exp) @ ft))
         half = np.exp(0.5 * lam)
         fy = (f @ dec.q) * half
+        y = Point._wrap(self, symmetrize(fy @ fy.T))
         fyi = (dec.q.T @ fi) / half[:, None]
         fyi = 2.0 * fyi - fyi @ (fy @ fyi)
         # tr(y^-1) max(1, tr(y)) bounds 1 / lam_min max(1, lam_max) from above.
         if not 1.0 > 2.0 * POSITIVITY_FLOOR * np.vdot(fyi, fyi) * max(1.0, np.vdot(fy, fy)):
             self._dec(y)  # a step can underflow to a singular matrix; the exact rule rejects it
         y.cache["factor"] = (fy, fy.T, fyi, fyi.T)
-        y.cache["geodesic"] = (fac, dec)
+        y.cache["geodesic"] = (fy, lam)
         return y
 
     def _reverse_velocity(self, y: Point) -> np.ndarray:
-        # Minus the velocity at t = 1 of F expm(t A) F^T, A = F^-1 v F^-T.
-        (f, ft, _, _), dec = y.cache["geodesic"]
-        return symmetrize(f @ spectral(dec, lambda lam: -lam * np.exp(lam)) @ ft)
+        # Minus the velocity F A e^A F^T = F_y diag(lam) F_y^T at t = 1 of F expm(t A) F^T.
+        fy, lam = y.cache["geodesic"]
+        return symmetrize((fy * -lam) @ fy.T)
 
     def _log_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``w = F^-1 a F^-T``, for one target or a stack.
@@ -234,7 +234,7 @@ class Spd(Manifold):
         return got[1]
 
     def _log_array(self, x: Point, a: np.ndarray, dec: Optional[SpectralDecomposition] = None) -> np.ndarray:
-        """``Log_x(a)`` for one target or a stack; ``dec`` is :meth:`_log_dec` of ``a`` when the caller has it."""
+        """``Log_x(a)``; ``dec`` is :meth:`_log_dec` of ``a`` when the caller has it."""
         self._check_point(x)
         if dec is None:
             dec = self._log_dec(x, a)
@@ -245,20 +245,23 @@ class Spd(Manifold):
         self._check_point(y)
         return Tangent._wrap(x, self._log_array(x, y.value))
 
-    def log_stack(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``Log_x(a_i)`` and ``||Log_x(a_i)||_x^2`` for a stack of SPD targets.
+    def log_sum(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(sum_i Log_x(a_i), sum_i d(x, a_i)^2)`` for a ``(k, n, n)`` stack of SPD targets.
 
-        ``targets`` has shape ``(k, n, n)``; the result is the ``(k, n, n)``
-        logarithms and their ``(k,)`` squared norms. The conjugations
-        ``F^-1 a_i F^-T`` are one matmul over the stack and their
-        eigendecompositions one ``eigh`` call. Member ``i`` is bitwise
-        equal to ``log(x, point(a_i)).value`` and to ``inner`` of that
-        tangent with itself, and a target that :meth:`log` would reject
-        raises the same ``DomainError``. The targets must be symmetric, as
-        :meth:`point` makes them; they are not validated here.
+        The conjugations ``F^-1 a_i F^-T = Q_i diag(lam_i) Q_i^T`` are one
+        matmul and one ``eigh`` call. With ``l`` all ``log lam_i`` in member
+        order and ``Qc = [Q_1 ... Q_k]``, the sum is ``F Qc diag(l) Qc^T
+        F^T``, and as ``d(x, a_i)^2 = sum log^2 lam_i`` the squared sum is
+        ``l . l``. A target that :meth:`log` would reject raises the same
+        ``DomainError``. The targets must be symmetric, as :meth:`point`
+        makes them; they are not validated here.
         """
-        logs = self._log_array(x, targets)
-        return logs, self._inner_array(x, logs, logs)
+        self._check_point(x)
+        dec = self._log_dec(x, targets)
+        l = np.log(dec.eigenvalues).reshape(-1)
+        qc = dec.q.transpose(1, 0, 2).reshape(self.n, -1)
+        f, ft, _, _ = self._factor(x)
+        return symmetrize(f @ ((qc * l) @ qc.T) @ ft), float(l @ l)
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)

@@ -49,9 +49,9 @@ class MinimaxProblem:
     grad_x, grad_y : callable (Point, Point) -> Tangent
         Riemannian partial gradients of ``f`` (not negated; ascent on
         ``y`` uses ``+grad_y``).
-    smoothness_l : float or None
-        Joint smoothness constant; ``None`` means "estimate on demand"
-        via :meth:`smoothness`.
+    smoothness_l : float, callable () -> float, or None
+        Joint smoothness constant. :meth:`smoothness` replaces a function
+        by its value, and ``None`` by an estimate, on first use.
     smoothness_source : str
         How ``smoothness_l`` was obtained: ``"given"`` (the default) for a
         constant passed in, ``"operator_norm"`` where a factory computes
@@ -77,7 +77,7 @@ class MinimaxProblem:
     value: Callable[[Point, Point], float]
     grad_x: Callable[[Point, Point], Tangent]
     grad_y: Callable[[Point, Point], Tangent]
-    smoothness_l: Optional[float] = None
+    smoothness_l: Optional[float | Callable[[], float]] = None
     smoothness_source: str = "given"
     known_saddle: Optional[tuple[Point, Point]] = None
     best_response_x: Optional[Callable[[Point], Point]] = None
@@ -85,7 +85,7 @@ class MinimaxProblem:
     _smoothness_used: bool = field(default=False, repr=False)
 
     def smoothness(self) -> float:
-        """Smoothness constant, estimating it empirically if not known.
+        """Smoothness constant, computed or estimated empirically on first use if not known.
 
         The estimate is cached on the problem and drawn from a fixed
         internal seed, so repeated calls are deterministic.
@@ -93,6 +93,8 @@ class MinimaxProblem:
         if self.smoothness_l is None:
             self.smoothness_l = estimate_smoothness(self)
             self.smoothness_source = "sampled"
+        elif callable(self.smoothness_l):
+            self.smoothness_l = self.smoothness_l()
         self._smoothness_used = True
         return self.smoothness_l
 
@@ -176,8 +178,8 @@ def euclidean_quadratic(b) -> MinimaxProblem:
     """Bilinear coupling ``f(x, y) = x . (b y)`` on R^n x R^n.
 
     The unique saddle point is the origin pair; the smoothness constant
-    is exactly the operator norm ``||b||_2``. Both factors have the
-    ``Euclidean`` default diameter 10.
+    is exactly the operator norm ``||b||_2``, computed on first use. Both
+    factors have the ``Euclidean`` default diameter 10.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
@@ -205,7 +207,7 @@ def euclidean_quadratic(b) -> MinimaxProblem:
         value=value,
         grad_x=grad_x,
         grad_y=grad_y,
-        smoothness_l=float(np.linalg.norm(b, 2)),
+        smoothness_l=lambda: float(np.linalg.norm(b, 2)),
         smoothness_source="operator_norm",
         known_saddle=saddle,
     )
@@ -326,9 +328,9 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
         grad_m f = -m x x^T m + (2 alpha / k) sum_i Log_m(m_i)
 
     The data are kept as one ``(k, n, n)`` stack, so each new matrix point
-    costs one stacked eigendecomposition for all k logarithms
-    (:meth:`~geominimax.manifolds.Spd.log_stack`); their sum and their
-    summed squared norms are cached on the point.
+    costs one stacked eigendecomposition for the sum of all k logarithms
+    and, from its eigenvalues alone, of their squared distances
+    (:meth:`~geominimax.manifolds.Spd.log_sum`), cached on the point.
 
     The sphere slice ``min_x f(x, m) = -lambda_max(m) - pen(m)`` is solved
     exactly by a leading eigenvector of ``m``. ``best_response_x`` returns
@@ -373,13 +375,7 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
         """``(sum_i Log_m(m_i), sum_i ||Log_m(m_i)||^2)``, cached on ``m``."""
         got = m_pt.cache.get("rpca_penalty")
         if got is None:
-            logs, sqs = my.log_stack(m_pt, stack)
-            # Summed one member at a time from zero, as separate
-            # Spd.inner calls and array additions would sum them.
-            sumsq = 0.0
-            for sq in sqs.tolist():
-                sumsq += sq
-            got = m_pt.cache["rpca_penalty"] = (logs.sum(axis=0, initial=0.0), sumsq)
+            got = m_pt.cache["rpca_penalty"] = my.log_sum(m_pt, stack)
         return got
 
     def value(x: Point, m_pt: Point) -> float:
@@ -395,8 +391,8 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
     def grad_y(x: Point, m_pt: Point) -> Tangent:
         log_sum, _ = _penalty(m_pt)
         mx_vec = m_pt.value @ x.value
-        out = -np.outer(mx_vec, mx_vec)
-        return Tangent._wrap(m_pt, symmetrize(out + (2.0 * alpha / k) * log_sum))
+        # Both terms are exactly symmetric, so their sum needs no symmetrizing.
+        return Tangent._wrap(m_pt, (2.0 * alpha / k) * log_sum - np.outer(mx_vec, mx_vec))
 
     def best_response_x(m_pt: Point) -> Point:
         return mx.point(my._dec(m_pt).q[:, 0])

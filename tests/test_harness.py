@@ -290,6 +290,28 @@ class TestRunExperiment:
         meta = json.loads(run_experiment(cfg, tmp_path).meta_path.read_text())
         assert meta["smoothness"] is None and meta["smoothness_source"] is None
 
+    def test_fixed_flat_run_takes_no_operator_norm(self, tmp_path, monkeypatch):
+        """``euclidean_quadratic`` computes ``||b||_2`` only when ``L`` is asked
+        for: building the problem and running a fixed step with gap estimation
+        off take no ``np.linalg.norm(., 2)``; asking for ``L`` takes one."""
+        norm = np.linalg.norm
+        calls = []
+
+        def counted(a, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(a))
+            return norm(a, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        cfg = parse_config_text("problem = euclidean_quadratic\nn = 4\nalgo = rceg\neta = 0.1\niters = 5\ngap_every = off\n")
+        outcome = run_experiment(cfg, tmp_path)
+        assert outcome.result.status == "ok"
+        assert calls == []
+        problem = build_problem(cfg)[0]
+        assert calls == []
+        assert problem.smoothness() == problem.smoothness() and problem.smoothness_source == "operator_norm"
+        assert calls == [(4, 4)]
+
     def test_meta_counts_unavailable_gap_estimates(self, tmp_path):
         """The flat bilinear slices are unbounded away from the saddle, so no
         cadence point gets an estimate."""

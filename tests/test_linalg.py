@@ -155,15 +155,14 @@ class TestSymEigMatchesReference:
 
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_spd_operations(self, n):
-        """``Spd`` exp, log, distance and log_stack equal their closed forms
-        built from the reference decomposition."""
+        """``Spd`` exp, the correction it leaves, log, distance and log_sum
+        equal their closed forms built from the reference decomposition."""
         rng = np.random.default_rng(100 + n)
         m = Spd(n)
         x = m.point(random_spd(n, 0.2, 4.5, rng))
         y = m.point(random_spd(n, 0.2, 4.5, rng))
         ref = reference_sym_eig(x.value)
         sq, isq = spectral(ref, np.sqrt), spectral(ref, np.sqrt, inverse=True)
-        inv = spectral(ref, inverse=True)
 
         w = reference_sym_eig(isq @ y.value @ isq)
         assert m.distance(x, y) == float(np.linalg.norm(np.log(w.eigenvalues)))
@@ -171,14 +170,18 @@ class TestSymEigMatchesReference:
 
         v = m.log(x, y).value * 0.7
         e = reference_sym_eig(isq @ v @ isq)
-        assert np.array_equal(m.exp(x, m.tangent(x, v)).value, symmetrize(sq @ spectral(e, np.exp) @ sq))
+        fy = (sq @ e.q) * np.exp(0.5 * e.eigenvalues)
+        got = m.exp(x, m.tangent(x, v))
+        assert np.array_equal(got.value, symmetrize(fy @ fy.T))
+        assert np.array_equal(m._reverse_velocity(got), symmetrize((fy * -e.eigenvalues) @ fy.T))
 
         targets = np.stack([y.value, random_spd(n, 0.2, 4.5, rng), x.value])
         ws = reference_sym_eig(isq @ targets @ isq)
-        logs = symmetrize(sq @ spectral(ws, np.log) @ sq)
-        got_logs, got_sqs = m.log_stack(x, targets)
-        assert np.array_equal(got_logs, logs)
-        assert np.array_equal(got_sqs, np.einsum("...ij,...ji->...", inv @ logs, inv @ logs))
+        l = np.log(ws.eigenvalues).reshape(-1)
+        qc = ws.q.transpose(1, 0, 2).reshape(n, -1)
+        got_sum, got_sq = m.log_sum(x, targets)
+        assert np.array_equal(got_sum, symmetrize(sq @ ((qc * l) @ qc.T) @ sq))
+        assert got_sq == l @ l
 
 
 class TestSpectral:

@@ -268,6 +268,9 @@ class TestSpd:
 
 
 class TestSpdLogStack:
+    """``Spd.log_sum`` of a stack of targets: one stacked decomposition for
+    the sum of the logarithms and of the squared distances."""
+
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_members_equal_separate_logs(self, n):
         from geominimax.linalg import random_spd
@@ -276,15 +279,17 @@ class TestSpdLogStack:
         rng = np.random.default_rng(80 + n)
         x = m.point(random_spd(n, 0.2, 4.5, rng))
         targets = [m.point(random_spd(n, 0.2, 4.5, rng)) for _ in range(4)] + [x]
-        logs, sqs = m.log_stack(x, np.stack([t.value for t in targets]))
-        assert logs.shape == (5, n, n) and sqs.shape == (5,)
-        for got, sq, t in zip(logs, sqs, targets):
-            lg = m.log(x, t)
-            assert np.array_equal(got, lg.value)
-            assert sq == m.inner(lg, lg)
-        one_log, one_sq = m.log_stack(x, x.value[None])
-        lg = m.log(x, x)
-        assert np.array_equal(one_log[0], lg.value) and one_sq[0] == m.inner(lg, lg)
+        total, sumsq = m.log_sum(x, np.stack([t.value for t in targets]))
+        assert total.shape == (n, n) and isinstance(sumsq, float)
+        assert np.array_equal(total, total.T)
+        logs = [m.log(x, t).value for t in targets]
+        want = sum(logs[1:], logs[0])
+        assert np.linalg.norm(total - want) <= 1e-13 * np.linalg.norm(want)
+        want_sq = sum(m.distance(x, t) ** 2 for t in targets)
+        assert abs(sumsq - want_sq) <= 1e-13 * want_sq
+        one_sum, one_sq = m.log_sum(x, targets[0].value[None])
+        assert np.linalg.norm(one_sum - logs[0]) <= 1e-13 * np.linalg.norm(logs[0])
+        assert one_sq == pytest.approx(m.distance(x, targets[0]) ** 2, rel=1e-13)
 
     def test_non_positive_member_raises_the_log_message(self):
         # Both points are SPD, but x^-1/2 y x^-1/2 = diag(1, 1e-13, 1) is
@@ -296,7 +301,7 @@ class TestSpdLogStack:
         with pytest.raises(DomainError) as single:
             m.log(x, bad)
         with pytest.raises(DomainError) as stacked:
-            m.log_stack(x, np.stack([good.value, bad.value, good.value]))
+            m.log_sum(x, np.stack([good.value, bad.value, good.value]))
         assert "not positive definite relative to the base" in str(single.value)
         assert str(stacked.value) == str(single.value)
 
@@ -313,7 +318,7 @@ class TestSpdLogStack:
         assert messages[0] != messages[1]
         for first, second, message in ((bad[0], bad[1], messages[0]), (bad[1], bad[0], messages[1])):
             with pytest.raises(DomainError) as stacked:
-                m.log_stack(x, np.stack([good.value, first.value, good.value, second.value]))
+                m.log_sum(x, np.stack([good.value, first.value, good.value, second.value]))
             assert str(stacked.value) == message
 
 
@@ -332,15 +337,21 @@ class TestReverseVelocity:
 
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_spd(self, n):
+        """At validated base points, with ``F = x^{1/2}``, and at base
+        points ``exp`` made, whose factor ``F Q e^{lam/2}`` is not symmetric."""
         from geominimax.linalg import random_spd
 
         m = Spd(n)
         rng = np.random.default_rng(120 + n)
         for _ in range(10):
-            x = m.point(random_spd(n, 0.2, 4.5, rng))
-            for length in (0.1, 0.5, 2.0, 5.0):
-                v = m.random_tangent(x, rng, norm=length)
-                assert self.rel_err(m, m.exp(x, v), x) < 1e-11
+            start = m.point(random_spd(n, 0.2, 4.5, rng))
+            made = m.exp(start, m.random_tangent(start, rng, norm=1.5))
+            f, ft, _, _ = m._factor(made)
+            assert not np.array_equal(f, ft)
+            for x in (start, made):
+                for length in (0.1, 0.5, 2.0, 5.0):
+                    v = m.random_tangent(x, rng, norm=length)
+                    assert self.rel_err(m, m.exp(x, v), x) < 1e-11
 
     @pytest.mark.parametrize("theta", [0.01, 0.1, 0.7, 1.5, 2.5, 3.0])
     def test_sphere(self, theta):

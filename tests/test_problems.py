@@ -116,7 +116,7 @@ class TestEuclideanQuadratic:
         for _ in range(20):
             b = rng.standard_normal((5, 5))
             prob = euclidean_quadratic(b)
-            assert prob.smoothness_l == np.linalg.norm(b, 2)
+            assert prob.smoothness() == np.linalg.norm(b, 2)
 
     def test_smoothness_is_never_below_the_2_norm(self):
         """``eta = auto`` is safe only if ``L`` is at least ``||b||_2``. On
@@ -124,7 +124,7 @@ class TestEuclideanQuadratic:
         7.4253199277), an iterative estimate with 1e-9 relative headroom
         can still stop 3.9e-8 short."""
         b = np.random.default_rng(19).standard_normal((20, 20))
-        assert euclidean_quadratic(b).smoothness_l >= np.linalg.norm(b, 2)
+        assert euclidean_quadratic(b).smoothness() >= np.linalg.norm(b, 2)
 
     def test_rejects_bad_matrix(self):
         with pytest.raises(ParameterError):
@@ -402,8 +402,25 @@ class TestRobustPca:
         value = -float(x.value @ mv) - (alpha / k) * sumsq
         return value, symmetrize(-np.outer(mv, mv) + (2.0 * alpha / k) * total)
 
+    @staticmethod
+    def closed_form(data, alpha, x, m):
+        """Value and grad_y with the penalty summed in the data's joint
+        eigenbasis: for ``m^{-1/2} m_i m^{-1/2} = Q_i diag(lam_i) Q_i^T``,
+        ``sum_i Log_m(m_i) = m^{1/2} Qc diag(l) Qc^T m^{1/2}`` with ``Qc =
+        [Q_1 ... Q_k]`` and ``l`` all ``log lam_i``, and ``sum_i d^2 = l . l``."""
+        dec = sym_eig(m.value)
+        sq, isq = spectral(dec, np.sqrt), spectral(dec, np.sqrt, inverse=True)
+        ws = sym_eig(isq @ np.stack(data) @ isq)
+        l = np.log(ws.eigenvalues).reshape(-1)
+        qc = ws.q.transpose(1, 0, 2).reshape(len(m.value), -1)
+        total = symmetrize(sq @ ((qc * l) @ qc.T) @ sq)
+        k = len(data)
+        mv = m.value @ x.value
+        return -float(x.value @ mv) - (alpha / k) * float(l @ l), -np.outer(mv, mv) + (2.0 * alpha / k) * total
+
     @pytest.mark.parametrize("n, k", [(3, 1), (4, 3), (10, 8)])
     def test_value_and_grad_y_equal_per_matrix_formula(self, n, k):
+        """Bitwise the eigenbasis sum, and the per-matrix formula to 1e-13."""
         rng = np.random.default_rng(16 + n)
         data = [random_spd(n, 0.2, 4.5, rng) for _ in range(k)]
         alpha = 0.7
@@ -413,9 +430,13 @@ class TestRobustPca:
         ms = [my.point(random_spd(n, 0.3, 4.0, rng)) for _ in range(5)] + [my.point(data[-1])]
         for m in ms:
             x = mx.random_point(rng)
+            got_value, got_grad = prob.value(x, m), prob.grad_y(x, m).value
+            value, grad = self.closed_form(data, alpha, x, my.point(m.value))
+            assert got_value == value
+            assert np.array_equal(got_grad, grad)
             value, grad = self.oracle(prob, data, alpha, x, my.point(m.value))
-            assert prob.value(x, m) == value
-            assert np.array_equal(prob.grad_y(x, m).value, grad)
+            assert got_value == pytest.approx(value, rel=1e-13)
+            assert np.linalg.norm(got_grad - grad) <= 1e-13 * np.linalg.norm(grad)
 
     def test_five_eigendecompositions_per_rceg_step(self, monkeypatch):
         """With the gap off, a step makes two SPD points, each with one
@@ -611,7 +632,7 @@ class TestSmoothnessEstimate:
         cfg = ExperimentConfig(problem="euclidean_quadratic", n=20, algo="rceg", iters=1, seed=seed)
         prob = build_problem(cfg)[0]
         assert prob.smoothness_source == "operator_norm"
-        assert estimate_smoothness(prob) >= prob.smoothness_l
+        assert estimate_smoothness(prob) >= prob.smoothness()
 
     def test_deterministic_default_stream(self):
         rng = np.random.default_rng(21)
