@@ -66,9 +66,11 @@ def sym_eig(a) -> SpectralDecomposition:
     products built on ``q`` depends on its layout, so both are kept fixed.
 
     Each eigenvector keeps the sign LAPACK gives it. Everything the
-    package builds on ``q`` uses each column an even number of times, as
-    :func:`spectral` does, and so has the same bits under either sign; a
-    caller that uses a column on its own fixes its sign itself, as the
+    package builds on ``q`` uses each column an even number of times, and
+    so has the same bits under either sign: :func:`spectral` does, and
+    each column of an SPD point's factor ``F = q diag(lam)^{1/2}`` enters a
+    closed form twice, through ``F`` and ``F^T`` or ``F^-1`` and ``F^-T``.
+    A caller that uses a column on its own fixes its sign itself, as the
     robust PCA start in ``harness.build_problem`` does.
 
     A stack ``(..., n, n)`` is decomposed by one ``numpy.linalg.eigh``
@@ -111,18 +113,16 @@ def sym_eig(a) -> SpectralDecomposition:
     return SpectralDecomposition(q[..., ::-1].copy(order="F" if a.ndim == 2 else "C"), lam[..., ::-1].copy())
 
 
-def spectral(dec: SpectralDecomposition, f=None, inverse: bool = False) -> np.ndarray:
+def spectral(dec: SpectralDecomposition, f=None) -> np.ndarray:
     """``q diag(f(lam)) q.T`` for ``dec = (q, lam)``; ``f`` defaults to the identity.
 
-    With ``inverse`` the columns of ``q`` are divided by ``f(lam)``
-    instead, giving ``q diag(f(lam))^-1 q.T`` without forming reciprocals.
-    The result is not symmetrized. A stacked ``dec`` gives the stack of
+    Each column of ``q`` enters twice, so the bits do not depend on its
+    sign. The result is not symmetrized. A stacked ``dec`` gives the stack of
     reconstructions, each bitwise equal to the one of its member.
     """
     vals = dec.eigenvalues if f is None else f(dec.eigenvalues)
-    vals = vals[..., None, :]
     q = dec.q
-    return ((q / vals) if inverse else (q * vals)) @ q.swapaxes(-1, -2)
+    return (q * vals[..., None, :]) @ q.swapaxes(-1, -2)
 
 
 #: Relative eigenvalue gap at or below which two eigenvalues are treated as

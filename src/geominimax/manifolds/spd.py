@@ -35,31 +35,25 @@ class Spd(Manifold):
     - transport of ``v`` from ``x`` to ``y`` is ``e v e^T`` with
       ``e = F (F^-1 y F^-T)^{1/2} F^-1``.
 
-    A point validated by :meth:`point`, or drawn by a global
-    :meth:`random_point`, takes ``F = x^{1/2}`` from its own
-    eigendecomposition the first time an operation needs it, with
-    ``x^-1`` from the same decomposition. A point made by :meth:`exp` from
-    ``x`` with ``F^-1 v F^-T = Q diag(lam) Q^T`` carries the factor of the
-    geodesic instead and is never decomposed for it:
+    Every point holds one factor pair ``(F, F^-1)``: ``F = P diag(s)^{1/2}``
+    and ``F^-1 = (P / sqrt(s))^T`` from the decomposition ``x = P diag(s)
+    P^T`` that validates it or, for a point :meth:`exp` made from ``x`` with
+    ``F^-1 v F^-T = Q diag(lam) Q^T``, ``F_y = F Q e^{lam/2}`` and ``F_y^-1
+    = e^{-lam/2} Q^T F^-1`` after one Newton-Schulz step ``X <- 2 X - X F_y
+    X``, which keeps rounding in ``F^-1 F`` from accumulating along a run.
+    Such a point is ``y = F_y F_y^T``, symmetrized, and keeps the geodesic
+    ``(F_y, lam)`` for RCEG's correction ``Log_y(x) = -F_y diag(lam) F_y^T``.
 
-    - ``F_y = F Q e^{lam/2}``;
-    - ``y = F_y F_y^T`` (``= F Q e^lam Q^T F^T``), symmetrized;
-    - ``F_y^-1 = e^{-lam/2} Q^T F^-1``, refined by one Newton-Schulz step
-      ``X <- 2 X - X F_y X`` so that rounding in ``F^-1 F`` does not
-      accumulate along a run;
-    - the geodesic ``(F_y, lam)``, for RCEG's correction
-      ``Log_y(x) = -F_y diag(lam) F_y^T``.
-
-    The new point must be positive definite to the floor that
+    The point :meth:`exp` makes must be positive definite to the floor that
     :meth:`point` applies: ``lam_min(y) > 1e-12 max(1, lam_max(y))``. As
     ``||F_y||_F^2 = tr(y) >= lam_max`` and ``||F_y^-1||_F^2 = tr(y^-1) >=
     1 / lam_min``, ``y`` is accepted without a decomposition when
     ``1 > 2e-12 ||F_y^-1||_F^2 max(1, ||F_y||_F^2)``. Otherwise ``y`` is
     decomposed and held to the exact rule, so a step that underflows to a
     singular matrix raises the ``DomainError`` of :meth:`point`. Its own
-    eigendecomposition and square roots are still computed, lazily, where
-    an operation needs them: the closed-form tangent basis and
-    ``robust_pca``'s best response.
+    eigendecomposition is still computed, lazily, where an operation
+    needs it: the closed-form tangent basis and ``robust_pca``'s best
+    response.
 
     Parameters
     ----------
@@ -100,38 +94,17 @@ class Spd(Manifold):
             x.cache["eig"] = dec
         return dec
 
-    def _cached_spectral(self, x: Point, key: str, f=None, inverse: bool = False) -> np.ndarray:
-        s = x.cache.get(key)
-        if s is None:
-            s = x.cache[key] = spectral(self._dec(x), f, inverse)
-        return s
-
-    def _sqrt(self, x: Point) -> np.ndarray:
-        return self._cached_spectral(x, "sqrt", np.sqrt)
-
-    def _isqrt(self, x: Point) -> np.ndarray:
-        return self._cached_spectral(x, "isqrt", np.sqrt, inverse=True)
-
-    def _factor(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(F, F^T, F^-1, F^-T)`` with ``x = F F^T``: the factor :meth:`exp`
-        left on a point it made, else ``(x^{1/2}, x^{1/2}, x^{-1/2},
-        x^{-1/2})``. The transposes are entries of their own: at such a
-        point ``F^T`` is ``x^{1/2}`` itself, and a product with the view
-        ``x^{1/2}.T`` would round differently."""
+    def _factor(self, x: Point) -> tuple[np.ndarray, np.ndarray]:
+        """``(F, F^-1)`` with ``x = F F^T``: the pair :meth:`exp` left on a point
+        it made, else ``(Q diag(lam)^{1/2}, (Q / sqrt(lam))^T)`` from the
+        decomposition ``x = Q diag(lam) Q^T`` that validated the point, with
+        no product. Callers take ``F^T`` and ``F^-T`` as ``.T`` views."""
         f = x.cache.get("factor")
         if f is None:
-            sq, isq = self._sqrt(x), self._isqrt(x)
-            f = (sq, sq, isq, isq)
+            q, lam = self._dec(x)
+            root = np.sqrt(lam)
+            f = x.cache["factor"] = (q * root, (q / root).T)
         return f
-
-    def _inv(self, x: Point) -> np.ndarray:
-        """``x^-1``: ``F^-T F^-1`` on a point :meth:`exp` made, else from the
-        point's eigendecomposition."""
-        inv = x.cache.get("inv")
-        if inv is None:
-            f = x.cache.get("factor")
-            inv = x.cache["inv"] = spectral(self._dec(x), inverse=True) if f is None else f[3] @ f[2]
-        return inv
 
     # -- manifold interface ---------------------------------------------
 
@@ -156,20 +129,15 @@ class Spd(Manifold):
         return (a + a.T) / 2.0
 
     def _inner_array(self, x: Point, u: np.ndarray, v: np.ndarray) -> float:
-        """``tr(x^-1 u x^-1 v)``; ``x^-1 u`` is formed once when ``v`` is ``u``, as for a norm."""
-        inv = self._inv(x)
-        a = inv @ u
-        return np.einsum("ij,ji->", a, a if v is u else inv @ v)
-
-    def _conj_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
-        """Eigendecomposition of ``F^-1 a F^-T``."""
-        _, _, fi, fit = self._factor(x)
-        return sym_eig(fi @ a @ fit)
+        """``tr(x^-1 u x^-1 v) = <F^-1 u F^-T, F^-1 v F^-T>``; one conjugation when ``v`` is ``u``, as for a norm."""
+        fi = self._factor(x)[1]
+        a = fi @ u @ fi.T
+        return np.einsum("ij,ji->", a, a if v is u else fi @ v @ fi.T)
 
     def exp(self, x: Point, v: Tangent) -> Point:
         self._check_tangent_at(v, x)
-        f, _, fi, fit = self._factor(x)
-        dec = sym_eig(fi @ v.value @ fit)
+        f, fi = self._factor(x)
+        dec = sym_eig(fi @ v.value @ fi.T)
         lam = dec.eigenvalues  # descending, so its largest magnitude is at one end
         top = max(float(lam[0]), -float(lam[-1]))
         if top > _EXP_EIG_GUARD:
@@ -185,7 +153,7 @@ class Spd(Manifold):
         # tr(y^-1) max(1, tr(y)) bounds 1 / lam_min max(1, lam_max) from above.
         if not 1.0 > 2.0 * POSITIVITY_FLOOR * np.vdot(fyi, fyi) * max(1.0, np.vdot(fy, fy)):
             self._dec(y)  # a step can underflow to a singular matrix; the exact rule rejects it
-        y.cache["factor"] = (fy, fy.T, fyi, fyi.T)
+        y.cache["factor"] = (fy, fyi)
         y.cache["geodesic"] = (fy, lam)
         return y
 
@@ -201,7 +169,8 @@ class Spd(Manifold):
         positive definite to the relative floor. A stack is checked in one
         comparison, and searched member by member only when it fails.
         """
-        dec = self._conj_dec(x, a)
+        fi = self._factor(x)[1]
+        dec = sym_eig(fi @ a @ fi.T)
         lam = dec.eigenvalues
         if lam.ndim > 1 and (lam[..., -1] > POSITIVITY_FLOOR * np.maximum(1.0, lam[..., 0])).all():
             return dec
@@ -238,8 +207,8 @@ class Spd(Manifold):
         self._check_point(x)
         if dec is None:
             dec = self._log_dec(x, a)
-        f, ft, _, _ = self._factor(x)
-        return symmetrize(f @ spectral(dec, np.log) @ ft)
+        f = self._factor(x)[0]
+        return symmetrize(f @ spectral(dec, np.log) @ f.T)
 
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(y)
@@ -260,13 +229,13 @@ class Spd(Manifold):
         dec = self._log_dec(x, targets)
         l = np.log(dec.eigenvalues).reshape(-1)
         qc = dec.q.transpose(1, 0, 2).reshape(self.n, -1)
-        f, ft, _, _ = self._factor(x)
-        return symmetrize(f @ ((qc * l) @ qc.T) @ ft), float(l @ l)
+        f = self._factor(x)[0]
+        return symmetrize(f @ ((qc * l) @ qc.T) @ f.T), float(l @ l)
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
         self._check_point(y)
         x = v.base
-        f, _, fi, _ = self._factor(x)
+        f, fi = self._factor(x)
         e = f @ spectral(self._log_dec(x, y.value), np.sqrt) @ fi
         return Tangent._wrap(y, symmetrize(e @ v.value @ e.T))
 
@@ -284,8 +253,9 @@ class Spd(Manifold):
         orthonormal family for the affine-invariant inner product at ``x``.
         Element ``(i, j)`` is ``outer(c_i, c_j)`` of the columns of
         ``x^{1/2}``, symmetrized as ``(o + o.T) / sqrt(2)`` when ``i < j``.
+        (The point's factor ``F`` would give other :meth:`random_tangent` draws.)
         """
-        cols = self._sqrt(x).T
+        cols = spectral(self._dec(x), np.sqrt).T
         i, j = np.triu_indices(self.n)
         basis = cols[i][:, :, None] * cols[j][:, None, :]
         pair = i != j

@@ -88,13 +88,17 @@ class MinimaxProblem:
         """Smoothness constant, computed or estimated empirically on first use if not known.
 
         The estimate is cached on the problem and drawn from a fixed
-        internal seed, so repeated calls are deterministic.
+        internal seed, so repeated calls are deterministic. A constant that
+        is not positive and finite raises ``ParameterError`` naming its source.
         """
         if self.smoothness_l is None:
             self.smoothness_l = estimate_smoothness(self)
             self.smoothness_source = "sampled"
         elif callable(self.smoothness_l):
             self.smoothness_l = self.smoothness_l()
+        l = self.smoothness_l
+        if not (l > 0.0 and math.isfinite(l)):
+            raise ParameterError(f"smoothness constant ({self.smoothness_source}) must be positive and finite, got {l!r}")
         self._smoothness_used = True
         return self.smoothness_l
 
@@ -243,8 +247,8 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
     ``(x0, y0)`` is the saddle point, with value 0 there. Gradients are in
     closed form, from the eigendecomposition the value already needs.
     Write ``Log_x(x0) = F K F^T`` with ``F`` the factor of ``x = F F^T``
-    that :class:`~geominimax.manifolds.Spd` holds (``x^{1/2}``, or the one
-    its exponential made), ``w = F^-1 x0 F^-T = Q diag(lam) Q^T``,
+    that :class:`~geominimax.manifolds.Spd` holds (from the eigendecomposition
+    of ``x``, or the one its exponential made), ``w = F^-1 x0 F^-T = Q diag(lam) Q^T``,
     ``K = log(w)`` and ``B = Log_y(y0)``. The Riemannian gradient of
     ``tr(Log_x(x0) B)`` in ``x`` is
 

@@ -135,7 +135,6 @@ class TestSymEigMatchesReference:
             assert got.q.flags.c_contiguous == want.q.flags.c_contiguous
             assert got.q.flags.f_contiguous == want.q.flags.f_contiguous
             assert np.array_equal(spectral(got, np.exp), spectral(want, np.exp))
-            assert np.array_equal(spectral(got, np.exp, inverse=True), spectral(want, np.exp, inverse=True))
             assert np.array_equal((a @ got.q) * column_signs(got.q, want.q), a @ want.q)
             if np.all(want.eigenvalues > 0.0):
                 assert np.linalg.norm(np.log(got.eigenvalues)) == np.linalg.norm(np.log(want.eigenvalues))
@@ -150,37 +149,46 @@ class TestSymEigMatchesReference:
             order = "F" if a.ndim == 2 else "C"
             flipped = SpectralDecomposition(np.multiply(dec.q, flips, order=order), dec.eigenvalues)
             assert flipped.q.flags.f_contiguous == dec.q.flags.f_contiguous
-            for f, inverse in ((None, False), (np.exp, False), (np.exp, True)):
-                assert np.array_equal(spectral(flipped, f, inverse), spectral(dec, f, inverse))
+            for f in (None, np.exp):
+                assert np.array_equal(spectral(flipped, f), spectral(dec, f))
 
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_spd_operations(self, n):
-        """``Spd`` exp, the correction it leaves, log, distance and log_sum
-        equal their closed forms built from the reference decomposition."""
+        """``Spd`` exp, the correction it leaves, log, distance, log_sum,
+        transport and inner equal their closed forms built from the
+        reference decomposition ``x = q diag(lam) q.T``, with the factor
+        ``F = q diag(lam)^{1/2}`` and ``F^-1 = (q / sqrt(lam)).T``."""
         rng = np.random.default_rng(100 + n)
         m = Spd(n)
         x = m.point(random_spd(n, 0.2, 4.5, rng))
         y = m.point(random_spd(n, 0.2, 4.5, rng))
         ref = reference_sym_eig(x.value)
-        sq, isq = spectral(ref, np.sqrt), spectral(ref, np.sqrt, inverse=True)
+        root = np.sqrt(ref.eigenvalues)
+        f, fi = ref.q * root, (ref.q / root).T
 
-        w = reference_sym_eig(isq @ y.value @ isq)
+        w = reference_sym_eig(fi @ y.value @ fi.T)
         assert m.distance(x, y) == float(np.linalg.norm(np.log(w.eigenvalues)))
-        assert np.array_equal(m.log(x, y).value, symmetrize(sq @ spectral(w, np.log) @ sq))
+        assert np.array_equal(m.log(x, y).value, symmetrize(f @ spectral(w, np.log) @ f.T))
 
-        v = m.log(x, y).value * 0.7
-        e = reference_sym_eig(isq @ v @ isq)
-        fy = (sq @ e.q) * np.exp(0.5 * e.eigenvalues)
+        u = m.log(x, y).value
+        e = f @ spectral(w, np.sqrt) @ fi
+        assert np.array_equal(m.transport(m.tangent(x, u), y).value, symmetrize(e @ u @ e.T))
+        a = fi @ u @ fi.T
+        assert m.norm(m.tangent(x, u)) == np.sqrt(np.einsum("ij,ji->", a, a))
+
+        v = u * 0.7
+        e = reference_sym_eig(fi @ v @ fi.T)
+        fy = (f @ e.q) * np.exp(0.5 * e.eigenvalues)
         got = m.exp(x, m.tangent(x, v))
         assert np.array_equal(got.value, symmetrize(fy @ fy.T))
         assert np.array_equal(m._reverse_velocity(got), symmetrize((fy * -e.eigenvalues) @ fy.T))
 
         targets = np.stack([y.value, random_spd(n, 0.2, 4.5, rng), x.value])
-        ws = reference_sym_eig(isq @ targets @ isq)
+        ws = reference_sym_eig(fi @ targets @ fi.T)
         l = np.log(ws.eigenvalues).reshape(-1)
         qc = ws.q.transpose(1, 0, 2).reshape(n, -1)
         got_sum, got_sq = m.log_sum(x, targets)
-        assert np.array_equal(got_sum, symmetrize(sq @ ((qc * l) @ qc.T) @ sq))
+        assert np.array_equal(got_sum, symmetrize(f @ ((qc * l) @ qc.T) @ f.T))
         assert got_sq == l @ l
 
 
@@ -189,17 +197,7 @@ class TestSpectral:
         dec = sym_eig(np.diag([4.0, 9.0]))
         np.testing.assert_allclose(spectral(dec), np.diag([4.0, 9.0]))
         np.testing.assert_allclose(spectral(dec, np.sqrt), np.diag([2.0, 3.0]))
-        np.testing.assert_allclose(spectral(dec, np.sqrt, inverse=True), np.diag([0.5, 1.0 / 3.0]))
         np.testing.assert_allclose(spectral(dec, np.log), np.diag([np.log(4.0), np.log(9.0)]))
-
-    def test_inverse_divides_by_the_eigenvalues(self):
-        """``inverse`` divides the columns; multiplying by reciprocals would
-        differ in the last bit and move traces."""
-        dec = sym_eig(random_spd(6, 0.5, 2.0, np.random.default_rng(14)))
-        assert np.array_equal(spectral(dec, inverse=True), (dec.q / dec.eigenvalues) @ dec.q.T)
-        assert np.array_equal(
-            spectral(dec, np.sqrt, inverse=True), (dec.q / np.sqrt(dec.eigenvalues)) @ dec.q.T
-        )
 
     def test_square_root_and_inverse(self):
         rng = np.random.default_rng(12)
@@ -208,7 +206,7 @@ class TestSpectral:
             dec = sym_eig(a)
             s = spectral(dec, np.sqrt)
             np.testing.assert_allclose(s @ s, a, atol=1e-9 * max(1.0, np.linalg.norm(a)))
-            np.testing.assert_allclose(spectral(dec, inverse=True) @ a, np.eye(5), atol=1e-9)
+            np.testing.assert_allclose(spectral(dec, np.reciprocal) @ a, np.eye(5), atol=1e-9)
 
 
 class TestStacks:
@@ -222,16 +220,16 @@ class TestStacks:
         qs = dec.q.reshape(flat.shape)
         lams = dec.eigenvalues.reshape(flat.shape[:-1])
         spd = np.all(lams > 0.0)
-        stacked = [spectral(dec), spectral(dec, np.exp), spectral(dec, np.exp, inverse=True)]
+        stacked = [spectral(dec), spectral(dec, np.exp)]
         if spd:
-            stacked += [spectral(dec, np.log), spectral(dec, np.sqrt, inverse=True)]
+            stacked += [spectral(dec, np.log), spectral(dec, np.sqrt)]
         for i, member in enumerate(flat):
             one = sym_eig(member)
             assert np.array_equal(qs[i], one.q)
             assert np.array_equal(lams[i], one.eigenvalues)
-            single = [spectral(one), spectral(one, np.exp), spectral(one, np.exp, inverse=True)]
+            single = [spectral(one), spectral(one, np.exp)]
             if spd:
-                single += [spectral(one, np.log), spectral(one, np.sqrt, inverse=True)]
+                single += [spectral(one, np.log), spectral(one, np.sqrt)]
             for got, want in zip(stacked, single):
                 assert np.array_equal(got.reshape(flat.shape)[i], want)
 

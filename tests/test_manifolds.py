@@ -12,6 +12,7 @@ from geominimax.errors import (
     ParameterError,
     StepTooLongError,
 )
+from geominimax.linalg import SpectralDecomposition, random_spd, spectral, sym_eig
 from geominimax.manifolds import Euclidean, Point, Product, Spd, Sphere, Tangent
 
 
@@ -238,17 +239,17 @@ class TestSpd:
         y = m.exp(x, m.tangent(x, np.diag([math.log(1.5e-12), 0.0])))
         assert calls == [(2, 2), (2, 2)]
         assert y.value[0, 0] == pytest.approx(1.5e-12, rel=1e-12)
-        f, ft, _, _ = m._factor(y)
-        np.testing.assert_allclose(f @ ft, y.value, rtol=0, atol=1e-15)
+        f, _ = m._factor(y)
+        np.testing.assert_allclose(f @ f.T, y.value, rtol=0, atol=1e-15)
         calls.clear()
         m.exp(x, m.tangent(x, np.diag([math.log(1e-11), 0.0])))  # 2e-12 tr(y^-1) = 0.2: accepted unseen
         assert calls == [(2, 2)]
 
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_exp_factor_reproduces_the_point(self, n, monkeypatch):
-        """A point ``exp`` made carries ``F``, ``F^T``, ``F^-1`` and ``F^-T``
-        with ``F F^T = y`` and ``F^-1 F = I`` to rounding, along a chain
-        of steps, and is never decomposed; ``x^-1`` is ``F^-T F^-1``."""
+        """A point ``exp`` made carries ``F`` and ``F^-1`` with ``F F^T = y``
+        and ``F^-1 F = I`` to rounding, along a chain of steps, and is never
+        decomposed; ``y^-1`` is ``F^-T F^-1``."""
         from geominimax.linalg import random_spd
 
         m = Spd(n)
@@ -259,12 +260,87 @@ class TestSpd:
         for v in steps:
             y = m.exp(y, Tangent(y, v.value))  # drawn ahead: a basis at y would decompose it
         assert len(calls) == len(steps)  # one conjugation per step, no decomposition of a new point
-        f, ft, fi, fit = m._factor(y)
-        assert np.array_equal(ft, f.T) and np.array_equal(fit, fi.T)
-        assert np.linalg.norm(f @ ft - y.value) <= 1e-14 * np.linalg.norm(y.value)
+        f, fi = m._factor(y)
+        assert np.linalg.norm(f @ f.T - y.value) <= 1e-14 * np.linalg.norm(y.value)
         assert np.linalg.norm(fi @ f - np.eye(n), 2) <= 1e-14
         inv = np.linalg.inv(y.value)
-        assert np.linalg.norm(m._inv(y) - inv) <= 1e-12 * np.linalg.norm(inv)
+        assert np.linalg.norm(fi.T @ fi - inv) <= 1e-12 * np.linalg.norm(inv)
+
+
+class TestSpdFactor:
+    """Every SPD point holds one factor ``(F, F^-1)`` with ``x = F F^T``:
+    from its eigendecomposition, or the one :meth:`Spd.exp` made."""
+
+    @staticmethod
+    def points(m, rng):
+        """A point of each origin: validated, global draw, local draw, made by exp, unpickled."""
+        validated = m.point(random_spd(m.n, 0.2, 4.5, rng))
+        drawn = m.random_point(rng)
+        made = m.exp(drawn, m.random_tangent(drawn, rng, norm=1.0))
+        return {
+            "point": validated,
+            "random_point": drawn,
+            "random_point_near": m.random_point(rng, near=validated, radius=2.0),
+            "exp": made,
+            "unpickled": pickle.loads(pickle.dumps(made)),
+        }
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 30])
+    def test_factor_reproduces_the_point(self, n):
+        m = Spd(n)
+        for seed in range(5):
+            for origin, p in self.points(m, np.random.default_rng(160 + seed)).items():
+                f, fi = m._factor(p)
+                assert np.linalg.norm(f @ f.T - p.value) <= 1e-14 * np.linalg.norm(p.value), origin
+                assert np.linalg.norm(fi @ f - np.eye(n), 2) <= 1e-14, origin
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 30])
+    def test_inner_is_the_trace_formula(self, n):
+        """``<u, v>_x = tr(x^-1 u x^-1 v)`` for ``v`` the same array as ``u``
+        (the norm's branch) and for a different one."""
+        m = Spd(n)
+        rng = np.random.default_rng(170 + n)
+        for p in self.points(m, rng).values():
+            mp = p.manifold  # an unpickled point brings its own copy of the manifold
+            u, v = mp.random_tangent(p, rng).value, mp.random_tangent(p, rng).value
+            inv = np.linalg.inv(p.value)
+            for a, b in ((u, u), (u, v)):
+                want = np.trace(inv @ a @ inv @ b)
+                assert abs(mp._inner_array(p, a, b) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_validated_point_takes_one_eigh(self, monkeypatch):
+        """The factor and the norm of a validated point read the
+        decomposition :meth:`Spd.point` took to validate it."""
+        m = Spd(4)
+        a = random_spd(4, 0.2, 4.5, np.random.default_rng(180))
+        calls = TestSpd.count_eigh(monkeypatch)
+        x = m.point(a)
+        m._factor(x)
+        m.norm(Tangent(x, np.eye(4)))
+        assert calls == [(4, 4)]
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 30])
+    def test_flipped_columns_give_the_same_bits(self, n):
+        """Each column of ``F = Q diag(lam)^{1/2}`` enters every closed form
+        twice, so a decomposition with flipped eigenvector signs changes no
+        bit of a distance, logarithm, exponential, transport or inner product."""
+        m = Spd(n)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, b = random_spd(n, 0.2, 4.5, rng), random_spd(n, 0.2, 4.5, rng)
+            flips = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            flips[0] = -1.0
+            x, y, xf = m.point(a), m.point(b), m.point(a)
+            dec = xf.cache["eig"]
+            xf.cache["eig"] = SpectralDecomposition(np.multiply(dec.q, flips, order="F"), dec.eigenvalues)
+            assert not np.array_equal(m._factor(xf)[0], m._factor(x)[0])
+            u, v = m.log(x, y), m.random_tangent(x, rng)
+            uf, vf = Tangent(xf, u.value), Tangent(xf, v.value)
+            assert m.distance(xf, y) == m.distance(x, y)
+            assert np.array_equal(m.log(xf, y).value, u.value)
+            assert np.array_equal(m.exp(xf, uf).value, m.exp(x, u).value)
+            assert np.array_equal(m.transport(uf, y).value, m.transport(u, y).value)
+            assert m.inner(uf, vf) == m.inner(u, v) and m.norm(vf) == m.norm(v)
 
 
 class TestSpdLogStack:
@@ -337,8 +413,9 @@ class TestReverseVelocity:
 
     @pytest.mark.parametrize("n", [3, 10, 30])
     def test_spd(self, n):
-        """At validated base points, with ``F = x^{1/2}``, and at base
-        points ``exp`` made, whose factor ``F Q e^{lam/2}`` is not symmetric."""
+        """At validated base points, with ``F = Q diag(lam)^{1/2}``, and at
+        base points ``exp`` made, with ``F Q e^{lam/2}``; neither factor is
+        symmetric."""
         from geominimax.linalg import random_spd
 
         m = Spd(n)
@@ -346,8 +423,9 @@ class TestReverseVelocity:
         for _ in range(10):
             start = m.point(random_spd(n, 0.2, 4.5, rng))
             made = m.exp(start, m.random_tangent(start, rng, norm=1.5))
-            f, ft, _, _ = m._factor(made)
-            assert not np.array_equal(f, ft)
+            for p in (start, made):
+                f, _ = m._factor(p)
+                assert not np.array_equal(f, f.T)
             for x in (start, made):
                 for length in (0.1, 0.5, 2.0, 5.0):
                     v = m.random_tangent(x, rng, norm=length)
@@ -588,7 +666,7 @@ class TestStackedBasis:
     def test_spd_basis_is_one_outer_product_per_pair(self, n):
         m = Spd(n)
         x = m.random_point(np.random.default_rng(n))
-        cols = [m._sqrt(x)[:, i] for i in range(n)]
+        cols = [spectral(sym_eig(x.value), np.sqrt)[:, i] for i in range(n)]
         expected = []
         for i in range(n):
             for j in range(i, n):

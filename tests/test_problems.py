@@ -156,12 +156,13 @@ def chained_bilinear_grad(m, p, target, b):
     """Riemannian gradient at ``p`` of ``tr(Log_p(target) b)`` as the adjoint
     of its chain of matrix functions, ``Dlog(w)`` and then ``Dsqrt(x)``: the
     reference for the closed form of ``spd_bilinear``."""
-    s, s_inv = m._sqrt(p), m._isqrt(p)
+    dec = m._dec(p)
+    s, s_inv = spectral(dec, np.sqrt), spectral(dec, lambda lam: 1.0 / np.sqrt(lam))
     wdec = sym_eig(s_inv @ target @ s_inv)
     adj = daleckii_krein(wdec, s @ b @ s, lambda u, v: np.log1p((u - v) / v) / (u - v), lambda u: 1.0 / u)
     half = spectral(wdec, np.log) @ s @ b - symmetrize(spectral(wdec)) @ adj @ s_inv
     g = daleckii_krein(
-        m._dec(p), half + half.T, lambda u, v: 1.0 / (np.sqrt(u) + np.sqrt(v)), lambda u: 0.5 / np.sqrt(u)
+        dec, half + half.T, lambda u, v: 1.0 / (np.sqrt(u) + np.sqrt(v)), lambda u: 0.5 / np.sqrt(u)
     )
     return symmetrize(p.value @ g @ p.value)
 
@@ -277,8 +278,8 @@ class TestSpdBilinear:
         assert self.worst_oracle_gap(prob, pairs) <= 1e-7
 
     def test_closed_form_gradient_near_coincident_eigenvalues(self):
-        # Saddle components placed so that w = x^{-1/2} x0 x^{-1/2} (and
-        # its y analogue) has eigenvalue gaps of 1e-12.
+        # Saddle components placed so that w = F^-1 x0 F^-T for x = F F^T
+        # (and its y analogue) has eigenvalue gaps of 1e-12.
         rng = np.random.default_rng(30)
         n = 4
         m = Spd(n, 10.0)
@@ -288,13 +289,14 @@ class TestSpdBilinear:
 
         def place(p):
             q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            s = m._sqrt(p)
-            return s @ ((q * lam) @ q.T) @ s
+            f = m._factor(p)[0]
+            return f @ ((q * lam) @ q.T) @ f.T
 
         prob = spd_bilinear(place(x), place(y), diameter_bound=10.0)
         x = prob.manifold_x.point(x.value)
         y = prob.manifold_y.point(y.value)
-        w = np.linalg.eigvalsh(prob.manifold_x._isqrt(x) @ prob.known_saddle[0].value @ prob.manifold_x._isqrt(x))
+        fi = prob.manifold_x._factor(x)[1]
+        w = np.linalg.eigvalsh(fi @ prob.known_saddle[0].value @ fi.T)
         assert np.min(np.diff(w)) < 1e-11
         assert self.worst_oracle_gap(prob, [(x, y)]) <= 1e-6
         self.assert_matches_chain(prob, x, y)
@@ -405,15 +407,17 @@ class TestRobustPca:
     @staticmethod
     def closed_form(data, alpha, x, m):
         """Value and grad_y with the penalty summed in the data's joint
-        eigenbasis: for ``m^{-1/2} m_i m^{-1/2} = Q_i diag(lam_i) Q_i^T``,
-        ``sum_i Log_m(m_i) = m^{1/2} Qc diag(l) Qc^T m^{1/2}`` with ``Qc =
-        [Q_1 ... Q_k]`` and ``l`` all ``log lam_i``, and ``sum_i d^2 = l . l``."""
+        eigenbasis: with the factor ``F = P diag(s)^{1/2}`` of ``m = P diag(s)
+        P^T`` and ``F^-1 m_i F^-T = Q_i diag(lam_i) Q_i^T``, ``sum_i
+        Log_m(m_i) = F Qc diag(l) Qc^T F^T`` with ``Qc = [Q_1 ... Q_k]`` and
+        ``l`` all ``log lam_i``, and ``sum_i d^2 = l . l``."""
         dec = sym_eig(m.value)
-        sq, isq = spectral(dec, np.sqrt), spectral(dec, np.sqrt, inverse=True)
-        ws = sym_eig(isq @ np.stack(data) @ isq)
+        root = np.sqrt(dec.eigenvalues)
+        f, fi = dec.q * root, (dec.q / root).T
+        ws = sym_eig(fi @ np.stack(data) @ fi.T)
         l = np.log(ws.eigenvalues).reshape(-1)
         qc = ws.q.transpose(1, 0, 2).reshape(len(m.value), -1)
-        total = symmetrize(sq @ ((qc * l) @ qc.T) @ sq)
+        total = symmetrize(f @ ((qc * l) @ qc.T) @ f.T)
         k = len(data)
         mv = m.value @ x.value
         return -float(x.value @ mv) - (alpha / k) * float(l @ l), -np.outer(mv, mv) + (2.0 * alpha / k) * total
@@ -501,9 +505,9 @@ class TestRobustPca:
         assert res.status == "ok" and res.state.t == 2000
         y = res.state.y
         assert "eig" not in y.cache
-        f, ft, fi, _ = prob.manifold_y._factor(y)
+        f, fi = prob.manifold_y._factor(y)
         assert np.linalg.norm(fi @ f - np.eye(cfg.n), 2) <= 1e-14
-        assert np.linalg.norm(f @ ft - y.value) <= 1e-14 * np.linalg.norm(y.value)
+        assert np.linalg.norm(f @ f.T - y.value) <= 1e-14 * np.linalg.norm(y.value)
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_best_response_x_is_the_sphere_slice_minimum(self, n):

@@ -970,6 +970,19 @@ class TestRun:
         assert res.state.eta == pytest.approx(1.0 / (2.0 * p.smoothness()), rel=1e-12)
         assert resolve_step_size(p, "auto") == pytest.approx(1.0 / (2.0 * p.smoothness()), rel=1e-12)
 
+    @pytest.mark.parametrize("l, source", [(0.0, "operator_norm"), (float("nan"), "given")])
+    def test_bad_smoothness_constant_is_refused_by_the_gap(self, l, source):
+        """With a fixed step the constant is first read by the gap estimate;
+        a zero or NaN one raises ``ParameterError`` naming its source, not a
+        ``ZeroDivisionError`` or a column of unavailable cells."""
+        p = euclidean_quadratic(np.zeros((2, 2)))
+        if source == "given":
+            p = replace(p, smoothness_l=l, smoothness_source=source)
+        start = (p.manifold_x.point([1.0, 0.5]), p.manifold_y.point([0.5, 1.0]))
+        with pytest.raises(ParameterError, match=rf"smoothness constant \({source}\)"):
+            run(p, "rceg", 3, start, eta=0.1, gap_every=1)
+        assert p.used_smoothness() is None
+
     def test_determinism_excluding_wall_time(self):
         rng = np.random.default_rng(53)
         p = decoupled_spd(2, rng)
