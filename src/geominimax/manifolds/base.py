@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class Point:
     def __eq__(self, other):
         return (
             isinstance(other, Point)
-            and self.manifold is other.manifold
+            and (self.manifold is other.manifold or self.manifold == other.manifold)
             and np.array_equal(self.value, other.value)
         )
 
@@ -206,6 +206,11 @@ class Manifold(ABC):
         or adds it to another tangent's array at ``y``."""
         raise NotImplementedError(f"{self.name} has no reverse geodesic velocity")
 
+    #: ``_walked(y)``: the length, at least ``d(x, y)``, of the geodesic ``y =
+    #: exp(x, v)`` walked, from ``y.cache["geodesic"]``. ``None`` where it
+    #: would cost what the distance costs, so callers take the distance.
+    _walked: Optional[Callable[[Point], float]] = None
+
     @abstractmethod
     def transport(self, v: Tangent, y: Point) -> Tangent:
         """Parallel transport of ``v`` along the geodesic from its base to ``y``."""
@@ -250,7 +255,7 @@ class Manifold(ABC):
         return Tangent._wrap(x, np.zeros_like(x.value))
 
     def _check_point(self, x: Point, arg: str = "point"):
-        if not isinstance(x, Point) or x.manifold is not self:
+        if not isinstance(x, Point) or (x.manifold is not self and x.manifold != self):
             raise ContractError(f"{arg} does not belong to {self.name}")
 
     def _check_tangent_at(self, v: Tangent, x: Point):
@@ -331,6 +336,16 @@ class Manifold(ABC):
         # in basis order: the bits of a loop of ``out = out + c * e``.
         terms = coeff.reshape((-1,) + (1,) * x.value.ndim) * basis
         return Tangent._wrap(x, terms.sum(axis=0, initial=0.0))
+
+    # Equal by class and declared constants: an unpickled point's copy of its manifold equals it.
+    def _key(self) -> tuple:
+        return (type(self), self.dim, self.diameter_bound, self.kappa_min, self.kappa_max, self.exp_guard)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Manifold) and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return (

@@ -45,6 +45,9 @@ class Product(Manifold):
         self.exp_guard = min(a.exp_guard, b.exp_guard)
         self.name = f"{a.name}*{b.name}"
 
+    def _key(self) -> tuple:
+        return (type(self), self.a, self.b)
+
     # -- block plumbing -------------------------------------------------
 
     def join(self, pa: Point, pb: Point) -> Point:

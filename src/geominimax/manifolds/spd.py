@@ -162,6 +162,10 @@ class Spd(Manifold):
         fy, lam = y.cache["geodesic"]
         return symmetrize((fy * -lam) @ fy.T)
 
+    def _walked(self, y: Point) -> float:
+        lam = y.cache["geodesic"][1]  # ||lam|| = ||F^-1 v F^-T||_F = ||v||_x = d(x, y)
+        return math.sqrt(lam.dot(lam))
+
     def _log_dec(self, x: Point, a: np.ndarray) -> SpectralDecomposition:
         """Eigendecomposition of ``w = F^-1 a F^-T``, for one target or a stack.
 

@@ -85,6 +85,9 @@ class Sphere(Manifold):
         u = v / theta if theta else v  # theta = 0 only for v = 0
         return theta * (math.sin(theta) * x - math.cos(theta) * u)
 
+    def _walked(self, y: Point) -> float:
+        return y.cache["geodesic"][2]
+
     def log(self, x: Point, y: Point) -> Tangent:
         self._check_point(x)
         self._check_point(y)

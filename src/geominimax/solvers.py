@@ -493,6 +493,12 @@ class RunResult:
 _DIVERGENCE_FACTOR = 1e3
 
 
+def _below(bound: float, level: float) -> bool:
+    """``bound <= level``, with room for the rounding of the lengths a drift
+    bound sums, relative and absolute; false for NaN."""
+    return bound * (1.0 + 1e-12) + 1e-12 <= level
+
+
 def run(
     problem: MinimaxProblem,
     algo: str,
@@ -521,10 +527,11 @@ def run(
     drifting more than 1000 times the initial distance scale from the
     start) ends the run as ``"diverged"``, with a best-effort row at the
     iterate where it stopped, or, when the final row fails, with the
-    diagnostic ``"final diagnostics failed: ..."``. A new pair is scanned
-    for non-finite entries when its distance from the start is not
-    finite, which every non-finite iterate of the shipped manifolds has,
-    and before ``keep_averages`` folds it in.
+    diagnostic ``"final diagnostics failed: ..."``. A distance from the
+    start is taken only where the lengths ``exp`` walked since the last
+    (``Manifold._walked``) let it set a new maximum or cross the
+    threshold. A new pair is scanned for non-finite entries when a
+    distance or bound is not finite, and before ``keep_averages`` folds it.
     """
     if algo not in _STEPPERS:
         raise ParameterError(f"unknown algorithm {algo!r}, expected one of {sorted(_STEPPERS)}")
@@ -586,7 +593,8 @@ def run(
             raise NumericalError("iterate contains non-finite values")
 
     avg_x = avg_y = None
-    far_x = far_y = 0.0
+    far_x = far_y = ub_x = ub_y = 0.0  # each factor's largest distance, and a bound on its current one
+    walked_x, walked_y = mx._walked, my._walked
     for t in range(iters + 1):
         try:
             grads = _pair_grads(problem, state.x, state.y)
@@ -602,15 +610,25 @@ def run(
                 avg_x = geodesic_average_update(mx, avg_x, state.w, t)
                 avg_y = geodesic_average_update(my, avg_y, state.z, t)
                 averages.append((state.t, avg_x, avg_y))
-            # The product distance from the start, as Product.distance
-            # combines it, with each factor's distance kept for meta.json.
-            dx, dy = mx.distance(x, x0), my.distance(y, y0)
-            # A non-finite iterate has a non-finite distance on every shipped
-            # manifold, so the arrays are scanned only then: Euclidean's is
-            # the norm of the difference, Sphere.exp normalizes, which leaves
-            # a NaN in any non-finite output, and Spd.exp raises before it
-            # would return one. A finite iterate whose distance overflows
-            # passes the scan and meets the drift check below.
+            # A factor's distance from the start is at most the last one taken
+            # plus the lengths walked since (RCEG through w; RGDA's w is x). It
+            # is taken where that bound could set a new maximum or take the
+            # pair past the threshold, so the maxima and the drift check are
+            # those of a distance taken every step.
+            w, z = state.w, state.z
+            dx = mx.distance(x, x0) if walked_x is None else ub_x + walked_x(x) + (0.0 if w is x else walked_x(w))
+            dy = my.distance(y, y0) if walked_y is None else ub_y + walked_y(y) + (0.0 if z is y else walked_y(z))
+            if walked_x is not None and not (_below(dx, far_x) and _below(math.hypot(dx, dy), threshold)):
+                dx = mx.distance(x, x0)
+            if walked_y is not None and not (_below(dy, far_y) and _below(math.hypot(dx, dy), threshold)):
+                dy = my.distance(y, y0)
+            ub_x, ub_y = dx, dy
+            # A non-finite iterate has a non-finite distance or bound, so the
+            # arrays are scanned only then: Euclidean's distance is taken every
+            # step, a non-finite sphere iterate has a non-finite theta, and
+            # Spd.exp raises before it would return a non-finite point. A
+            # finite iterate whose distance overflows passes the scan and
+            # meets the drift check below.
             if not math.isfinite(dx + dy):
                 check_finite(x, y)
             far_x, far_y = max(far_x, dx), max(far_y, dy)

@@ -301,12 +301,11 @@ class TestSpdFactor:
         m = Spd(n)
         rng = np.random.default_rng(170 + n)
         for p in self.points(m, rng).values():
-            mp = p.manifold  # an unpickled point brings its own copy of the manifold
-            u, v = mp.random_tangent(p, rng).value, mp.random_tangent(p, rng).value
+            u, v = m.random_tangent(p, rng).value, m.random_tangent(p, rng).value
             inv = np.linalg.inv(p.value)
             for a, b in ((u, u), (u, v)):
                 want = np.trace(inv @ a @ inv @ b)
-                assert abs(mp._inner_array(p, a, b) - want) <= 1e-12 * max(1.0, abs(want))
+                assert abs(m._inner_array(p, a, b) - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_validated_point_takes_one_eigh(self, monkeypatch):
         """The factor and the norm of a validated point read the
@@ -460,6 +459,30 @@ class TestReverseVelocity:
         x = m.random_point(np.random.default_rng(160))
         with pytest.raises(NotImplementedError):
             m._reverse_velocity(m.exp(x, m.zero_tangent(x)))
+
+
+class TestWalked:
+    """``_walked(exp(x, v))`` is the length ``||v||_x`` of the geodesic
+    ``exp`` walked, read from the point. It bounds ``d(x, exp(x, v))``,
+    and equals it on SPD (a Hadamard manifold) and on the sphere, whose
+    exponential stops short of pi."""
+
+    @pytest.mark.parametrize("m", [Spd(3), Spd(10), Sphere(20)], ids=lambda m: f"{m.name}{m.n}")
+    def test_length_is_the_norm_and_the_distance(self, m):
+        rng = np.random.default_rng(190)
+        for length in (0.0, 0.01, 0.5, 2.0, 3.0):
+            for base in range(3):
+                x = m.random_point(rng)
+                v = m.random_tangent(x, rng, norm=length)
+                y = m.exp(x, v)
+                got = m._walked(y)
+                assert abs(got - m.norm(v)) <= 1e-12 * length
+                assert abs(got - m.distance(x, y)) <= 1e-12 * max(1.0, length)
+
+    def test_flat_and_product_have_none(self):
+        """Where the length costs what the distance costs, there is none."""
+        assert Euclidean(3)._walked is None
+        assert Product(Sphere(3), Spd(2))._walked is None
 
 
 @pytest.mark.parametrize("make", [lambda d: Euclidean(2, d), lambda d: Spd(2, d), lambda d: Sphere(3, d)])
@@ -633,6 +656,35 @@ class TestWrapping:
         w = copy.deepcopy(v)
         assert np.array_equal(w.value, v.value) and np.array_equal(w.base.value, x.value)
         assert not w.value.flags.writeable
+
+
+    @pytest.mark.parametrize("m", manifolds_with_product(), ids=lambda m: m.name)
+    def test_unpickled_point_belongs_to_its_manifold(self, m):
+        """An unpickled point brings a copy of its manifold, equal to the
+        original: the manifold accepts the point, which equals the original."""
+        rng = np.random.default_rng(62)
+        drawn = m.random_point(rng)
+        for x in (drawn, m.exp(drawn, m.random_tangent(drawn, rng, norm=0.3))):
+            y = pickle.loads(pickle.dumps(x))
+            assert y.manifold is not m and y.manifold == m and hash(y.manifold) == hash(m)
+            assert y == x and x == y
+            v = m.random_tangent(y, rng, norm=0.3)
+            assert m.exp(y, v).manifold is m
+
+    def test_manifolds_with_other_constants_refuse_the_point(self):
+        """Manifolds compare by class and declared constants: a point of
+        ``Spd(3, 1.0)`` belongs to another ``Spd(3, 1.0)``, not to ``Spd(3,
+        10.0)`` (``robust_pca`` builds such a pair), ``Spd(4, 1.0)``, or a
+        product with other factors."""
+        x = Spd(3, 1.0).identity()
+        Spd(3, 1.0)._check_point(x)
+        for other in (Spd(3, 10.0), Spd(4, 1.0), Euclidean(3, 1.0)):
+            assert other != x.manifold
+            with pytest.raises(ContractError, match="does not belong"):
+                other._check_point(x)
+        a, b = Sphere(3), Spd(2)
+        assert Product(a, b) == Product(Sphere(3), Spd(2)) != Product(a, Spd(2, 4.0))
+        assert Product(a, b) != Product(b, a)
 
 
 def loop_random_tangent(m, x, rng, norm):

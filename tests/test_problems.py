@@ -314,33 +314,43 @@ class TestSpdBilinear:
         res = run(prob, "rceg", iters=20, start=start, eta=0.2)
         assert res.status == "ok"
 
-    def test_ten_eigendecompositions_per_rceg_step(self, monkeypatch):
+    def test_eight_eigendecompositions_per_rceg_step_and_one_per_drift_distance(self, monkeypatch):
         """A step makes four SPD points, each with the exponential's one
         ``eigh`` (4); a new point carries the exponential's factor and is
         not decomposed itself. Each then takes a logarithm toward the
         saddle, shared by the value, the gradient and ``dist_to_ref`` (4).
-        The new pair's distances from the start (2) make 10; the
-        correction's ``Log_w(x)`` comes from the extrapolation's own
-        decomposition. The start costs two, one logarithm toward the
-        saddle per factor."""
+        The correction's ``Log_w(x)`` comes from the extrapolation's own
+        decomposition. The drift check takes a factor's distance from the
+        start, one ``eigh`` each, only when the lengths the factor walked
+        could make it a new maximum: both factors after the first step,
+        and fewer than one per factor and step over 25 steps. The start
+        costs two, one logarithm toward the saddle per factor."""
         rng = np.random.default_rng(42)
         prob = spd_bilinear(random_spd(6, 0.8, 1.25, rng), random_spd(6, 0.8, 1.25, rng))
-        eigh = np.linalg.eigh
-        calls = []
+        eigh, distance = np.linalg.eigh, Spd.distance
+        calls, drifts = [], []
 
         def counted(a):
             calls.append(np.shape(a))
             return eigh(a)
 
+        def counted_distance(self, x, y):
+            if y is start[0] or y is start[1]:
+                drifts.append(y)
+            return distance(self, x, y)
+
         counts = []
         for iters in (1, 10, 25):
             start = (prob.manifold_x.identity(), prob.manifold_y.identity())
             calls.clear()
+            drifts.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", counted)
+                patch.setattr(Spd, "distance", counted_distance)
                 assert run(prob, "rceg", iters=iters, start=start, eta=0.2).status == "ok"
-            counts.append(len(calls))
-        assert counts == [2 + 10 * iters for iters in (1, 10, 25)]
+            counts.append((iters, len(calls), len(drifts)))
+        assert [c for _, c, _ in counts] == [2 + 8 * iters + d for iters, _, d in counts]
+        assert counts[0][2] == 2 and counts[-1][2] < 2 * 25
 
     def test_distance_to_the_saddle_reuses_the_gradient_decomposition(self, monkeypatch):
         """After a gradient at ``(x, y)``, the distance of each factor to the

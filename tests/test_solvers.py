@@ -1140,6 +1140,102 @@ class TestRun:
         assert res.max_dist_from_start == tuple(far)
         assert far[0] > 0.0 and far[1] > 0.0
 
+    @staticmethod
+    def count_start_distances(monkeypatch, cls, start):
+        """Record each ``cls.distance`` taken to a point of ``start``: the
+        drift check's distances, not the rows' distances to the saddle."""
+        distance, calls = cls.distance, []
+
+        def counted(self, x, y):
+            if y is start[0] or y is start[1]:
+                calls.append(y)
+            return distance(self, x, y)
+
+        monkeypatch.setattr(cls, "distance", counted)
+        return calls
+
+    def test_bounded_drift_keeps_the_every_step_maximum_on_sphere_times_spd(self, monkeypatch):
+        """Robust PCA on sphere x SPD: the run takes the SPD factor's distance
+        from the start only where the lengths its exponentials walked could
+        set a new maximum, and still keeps, bit for bit, the maxima of a
+        distance taken after every hand-stepped RCEG step."""
+        cfg = ExperimentConfig(problem="robust_pca", n=4, k=8, mu=0.2, l=4.5, alpha=2.0, algo="rceg", iters=300)
+        p, x0, y0 = build_problem(cfg)
+        mx, my = p.manifold_x, p.manifold_y
+        eta = resolve_step_size(p, "auto")
+        state = make_state(p, x0, y0, eta)
+        far = [0.0, 0.0]
+        for _ in range(300):
+            state = rceg_step(p, state)
+            far = [max(far[0], mx.distance(state.x, x0)), max(far[1], my.distance(state.y, y0))]
+        drifts = self.count_start_distances(monkeypatch, Spd, (x0, y0))
+        res = run(p, "rceg", iters=300, start=(x0, y0), eta=eta)
+        assert res.status == "ok"
+        assert res.max_dist_from_start == tuple(far)
+        assert 0 < len(drifts) < 300
+
+    def test_drift_bound_is_tight_on_a_straight_path(self, monkeypatch):
+        """``f = logdet(x) + logdet(y)`` on SPD x SPD: each gradient is the
+        point itself, so RCEG's extrapolation scales a factor by ``e^-+eta``
+        and its correction returns no further, and each factor walks one
+        geodesic away from its start. The lengths walked then add up to the
+        distance, so no bound may undercount them: every step takes both
+        distances, and the maxima are the last ones, bit for bit."""
+        m = Spd(3)
+        rng = np.random.default_rng(57)
+        x0, y0 = m.point(random_spd(3, 0.5, 2.0, rng)), m.point(random_spd(3, 0.5, 2.0, rng))
+        logdet = lambda p: float(np.linalg.slogdet(p.value)[1])
+        p = MinimaxProblem(
+            name="logdet",
+            manifold_x=m,
+            manifold_y=m,
+            value=lambda x, y: logdet(x) + logdet(y),
+            grad_x=lambda x, y: Tangent(x, x.value),
+            grad_y=lambda x, y: Tangent(y, y.value),
+            smoothness_l=1.0,
+        )
+        state = make_state(p, x0, y0, 0.1)
+        for _ in range(20):
+            state = rceg_step(p, state)
+        drifts = self.count_start_distances(monkeypatch, Spd, (x0, y0))
+        res = run(p, "rceg", iters=20, start=(x0, y0), eta=0.1)
+        assert len(drifts) == 2 * 20
+        assert res.max_dist_from_start == (m.distance(state.x, x0), m.distance(state.y, y0))
+        assert res.max_dist_from_start[0] == pytest.approx(20 * 0.1 * np.sqrt(3.0), rel=1e-12)
+
+    def test_spd_drift_divergence_fires_at_the_every_step_iterate(self, monkeypatch):
+        """With the threshold lowered to 3x the initial scale, spd_bilinear
+        RGDA drifts past it at the step where a distance taken every step
+        does, with the same diagnostic, rows and maxima, though most of its
+        SPD distances from the start are read as bounds."""
+        cfg = ExperimentConfig(problem="spd_bilinear", n=10, mu=0.8, l=1.25, algo="rgda", iters=200, eta=0.2)
+        p, x0, y0 = build_problem(cfg)
+        mx, my = p.manifold_x, p.manifold_y
+        monkeypatch.setattr(solvers, "_DIVERGENCE_FACTOR", 3.0)
+        xs, ys = p.known_saddle
+        threshold = 3.0 * max(1.0, np.hypot(mx.distance(x0, xs), my.distance(y0, ys)))
+        state, far = make_state(p, x0, y0, 0.2), [0.0, 0.0]
+        while True:
+            state = rgda_step(p, state)
+            dx, dy = mx.distance(state.x, x0), my.distance(state.y, y0)
+            far = [max(far[0], dx), max(far[1], dy)]
+            if np.hypot(dx, dy) > threshold:
+                break
+        with monkeypatch.context() as patch:
+            patch.setattr(Spd, "_walked", None)
+            every_step = run(p, "rgda", iters=200, start=(x0, y0), eta=0.2, record_every=7)
+        drifts = self.count_start_distances(monkeypatch, Spd, (x0, y0))
+        res = run(p, "rgda", iters=200, start=(x0, y0), eta=0.2, record_every=7)
+        assert res.status == every_step.status == "diverged"
+        assert res.diagnostic == every_step.diagnostic == (
+            f"current pair drifted more than {threshold:.3g} from the start (divergence threshold 3e+00 x initial scale)"
+        )
+        assert res.state.t == every_step.state.t == state.t < 88
+        assert [r[:6] for r in res.records] == [r[:6] for r in every_step.records]
+        assert res.records[-1].t == state.t
+        assert res.max_dist_from_start == every_step.max_dist_from_start == tuple(far)
+        assert len(drifts) < 2 * state.t
+
     def test_parameter_validation(self):
         p = scalar_bilinear()
         start = (p.manifold_x.point([0.0]), p.manifold_y.point([0.0]))
