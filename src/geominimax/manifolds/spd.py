@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -16,6 +15,16 @@ __all__ = ["Spd"]
 # exp of eigenvalues beyond this magnitude overflows double precision
 # headroom; treat such steps as divergence rather than producing inf.
 _EXP_EIG_GUARD = 300.0
+
+
+def _require_floor(lam: np.ndarray, message: str):
+    """``DomainError(message.format(lam_min, floor))`` for the first member of ``lam`` (descending
+    eigenvalues, one row per member) with ``lam_min <= floor = 1e-12 max(1, lam_max)``.
+    Scalar checks: numpy ufuncs on one eigenvalue cost more than the check."""
+    for member in [lam] if lam.ndim == 1 else lam.reshape(-1, lam.shape[-1]):
+        floor = POSITIVITY_FLOOR * max(1.0, float(member[0]))
+        if member[-1] <= floor:
+            raise DomainError(message.format(member[-1], floor))
 
 
 class Spd(Manifold):
@@ -55,6 +64,12 @@ class Spd(Manifold):
     needs it: the closed-form tangent basis and ``robust_pca``'s best
     response.
 
+    Only this class writes an SPD point's ``cache``. Besides those, ``x``
+    keeps one entry per target array ``a``, keyed by ``id(a)``: the decomposition
+    of ``F^-1 a F^-T`` and, once asked for, the read-only ``Log_x(a)`` of a
+    point or :meth:`log_sum`'s sums of a read-only stack. Problems whose
+    manifolds compare equal may share points, never each other's entries.
+
     Parameters
     ----------
     n : int
@@ -84,13 +99,8 @@ class Spd(Manifold):
         dec = x.cache.get("eig")
         if dec is None:
             dec = sym_eig(x.value)
-            lam = dec.eigenvalues
-            floor = POSITIVITY_FLOOR * max(1.0, float(lam[0]))
-            if lam[-1] <= floor:
-                raise DomainError(
-                    f"matrix is not positive definite: smallest eigenvalue "
-                    f"{lam[-1]:.6g} is below the floor {floor:.6g}"
-                )
+            _require_floor(dec.eigenvalues, "matrix is not positive definite: "
+                           "smallest eigenvalue {:.6g} is below the floor {:.6g}")
             x.cache["eig"] = dec
         return dec
 
@@ -178,45 +188,44 @@ class Spd(Manifold):
         lam = dec.eigenvalues
         if lam.ndim > 1 and (lam[..., -1] > POSITIVITY_FLOOR * np.maximum(1.0, lam[..., 0])).all():
             return dec
-        # Scalar checks: numpy ufuncs on one eigenvalue cost more than the check.
-        for member in [lam] if lam.ndim == 1 else lam.reshape(-1, self.n):
-            floor = POSITIVITY_FLOOR * max(1.0, float(member[0]))
-            if member[-1] <= floor:
-                raise DomainError(
-                    f"logarithm target is not positive definite relative to the base: "
-                    f"smallest conjugated eigenvalue {member[-1]:.6g} is below {floor:.6g}"
-                )
+        _require_floor(lam, "logarithm target is not positive definite relative to the base: "
+                       "smallest conjugated eigenvalue {:.6g} is below {:.6g}")
         return dec
 
-    def _log_dec_to(self, x: Point, y: Point) -> SpectralDecomposition:
-        """:meth:`_log_dec` of the point ``y``, cached on ``x`` per target array.
+    def _log_to(self, x: Point, y: Point) -> list:
+        """``x``'s cache entry ``[a, dec, log]`` for the point ``y``, keyed by ``id(a)``, ``a = y.value``.
 
-        Callers that go from one point to the same target, such as a
-        gradient toward a fixed point and the distance to it, share one
-        eigendecomposition. An entry keeps the target's read-only array
-        alive, so its ``id`` is not reused, and not the target point, so
-        points measured each from the one before stay collectable.
+        ``dec`` is :meth:`_log_dec` of ``a``, which log, distance, transport
+        and a gradient toward a fixed target share; ``log`` is the read-only
+        array of ``Log_x(y)`` once :meth:`_log_array` has made it. An entry
+        keeps the target's read-only array alive, so its ``id`` is not
+        reused, and not the target point, so points measured each from the
+        one before stay collectable.
         """
         self._check_point(x)
         self._check_point(y)
         a = y.value
-        cache = x.cache.setdefault("log_dec", {})
+        cache = x.cache.setdefault("log", {})
         got = cache.get(id(a))
         if got is None:
-            got = cache[id(a)] = (a, self._log_dec(x, a))
-        return got[1]
+            got = cache[id(a)] = [a, self._log_dec(x, a), None]
+        return got
 
-    def _log_array(self, x: Point, a: np.ndarray, dec: Optional[SpectralDecomposition] = None) -> np.ndarray:
-        """``Log_x(a)``; ``dec`` is :meth:`_log_dec` of ``a`` when the caller has it."""
-        self._check_point(x)
-        if dec is None:
-            dec = self._log_dec(x, a)
-        f = self._factor(x)[0]
-        return symmetrize(f @ spectral(dec, np.log) @ f.T)
+    def _log_dec_to(self, x: Point, y: Point) -> SpectralDecomposition:
+        """:meth:`_log_dec` of the point ``y``, from :meth:`_log_to`'s entry."""
+        return self._log_to(x, y)[1]
+
+    def _log_array(self, x: Point, y: Point) -> np.ndarray:
+        """The read-only array of ``Log_x(y)``, kept in :meth:`_log_to`'s entry."""
+        got = self._log_to(x, y)
+        if got[2] is None:
+            f = self._factor(x)[0]
+            got[2] = symmetrize(f @ spectral(got[1], np.log) @ f.T)
+            got[2].setflags(False)
+        return got[2]
 
     def log(self, x: Point, y: Point) -> Tangent:
-        self._check_point(y)
-        return Tangent._wrap(x, self._log_array(x, y.value))
+        return Tangent._wrap(x, self._log_array(x, y))
 
     def log_sum(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, float]:
         """``(sum_i Log_x(a_i), sum_i d(x, a_i)^2)`` for a ``(k, n, n)`` stack of SPD targets.
@@ -228,19 +237,29 @@ class Spd(Manifold):
         ``l . l``. A target that :meth:`log` would reject raises the same
         ``DomainError``. The targets must be symmetric, as :meth:`point`
         makes them; they are not validated here.
+
+        The sum is read-only. A read-only stack, which must not change,
+        gets the entry ``[targets, None, (sum, sumsq)]`` keyed as
+        :meth:`_log_to` keys a point's array, without the decomposition;
+        a writable stack is never cached.
         """
         self._check_point(x)
-        dec = self._log_dec(x, targets)
-        l = np.log(dec.eigenvalues).reshape(-1)
-        qc = dec.q.transpose(1, 0, 2).reshape(self.n, -1)
-        f = self._factor(x)[0]
-        return symmetrize(f @ ((qc * l) @ qc.T) @ f.T), float(l @ l)
+        cache = {} if targets.flags.writeable else x.cache.setdefault("log", {})
+        got = cache.get(id(targets))
+        if got is None:
+            dec = self._log_dec(x, targets)
+            l = np.log(dec.eigenvalues).reshape(-1)
+            qc = dec.q.transpose(1, 0, 2).reshape(self.n, -1)
+            f = self._factor(x)[0]
+            total = symmetrize(f @ ((qc * l) @ qc.T) @ f.T)
+            total.setflags(False)
+            got = cache[id(targets)] = [targets, None, (total, float(l @ l))]
+        return got[2]
 
     def transport(self, v: Tangent, y: Point) -> Tangent:
-        self._check_point(y)
         x = v.base
         f, fi = self._factor(x)
-        e = f @ spectral(self._log_dec(x, y.value), np.sqrt) @ fi
+        e = f @ spectral(self._log_dec_to(x, y), np.sqrt) @ fi
         return Tangent._wrap(y, symmetrize(e @ v.value @ e.T))
 
     def distance(self, x: Point, y: Point) -> float:

@@ -222,15 +222,6 @@ def _spd_distance_to_identity(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.log(lam)))
 
 
-def _bilinear_log(m: Spd, p: Point, target: Point, key: str) -> tuple[np.ndarray, SpectralDecomposition]:
-    """``(Log_p(target), eig(w))`` with ``w = F^-1 target F^-T`` for ``p = F F^T``, cached on ``p``."""
-    got = p.cache.get(key)
-    if got is None:
-        wdec = m._log_dec_to(p, target)
-        got = p.cache[key] = (m._log_array(p, target.value, wdec), wdec)
-    return got
-
-
 def _bilinear_grad(m: Spd, p: Point, wdec: SpectralDecomposition, b: np.ndarray) -> Tangent:
     """Riemannian gradient at ``p`` of ``tr(Log_p(target) b)``, from ``eig(w)``; see :func:`spd_bilinear`."""
     lam = wdec.eigenvalues
@@ -245,7 +236,8 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
     """Curved bilinear analogue ``f(x, y) = tr(Log_x(x0) Log_y(y0))`` on SPD x SPD.
 
     ``(x0, y0)`` is the saddle point, with value 0 there. Gradients are in
-    closed form, from the eigendecomposition the value already needs.
+    closed form, from the eigendecomposition the value already needs,
+    cached by ``Spd`` per point and target.
     Write ``Log_x(x0) = F K F^T`` with ``F`` the factor of ``x = F F^T``
     that :class:`~geominimax.manifolds.Spd` holds (from the eigendecomposition
     of ``x``, or the one its exponential made), ``w = F^-1 x0 F^-T = Q diag(lam) Q^T``,
@@ -288,20 +280,14 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
     x0_pt = mx.point(x0)
     y0_pt = my.point(y0)
 
-    def log_x(x: Point):
-        return _bilinear_log(mx, x, x0_pt, "bilinear_log_x0")
-
-    def log_y(y: Point):
-        return _bilinear_log(my, y, y0_pt, "bilinear_log_y0")
-
     def value(x: Point, y: Point) -> float:
-        return float(np.einsum("ij,ji->", log_x(x)[0], log_y(y)[0]))
+        return float(np.einsum("ij,ji->", mx._log_array(x, x0_pt), my._log_array(y, y0_pt)))
 
     def grad_x(x: Point, y: Point) -> Tangent:
-        return _bilinear_grad(mx, x, log_x(x)[1], log_y(y)[0])
+        return _bilinear_grad(mx, x, mx._log_dec_to(x, x0_pt), my._log_array(y, y0_pt))
 
     def grad_y(x: Point, y: Point) -> Tangent:
-        return _bilinear_grad(my, y, log_y(y)[1], log_x(x)[0])
+        return _bilinear_grad(my, y, my._log_dec_to(y, y0_pt), mx._log_array(x, x0_pt))
 
     return MinimaxProblem(
         name="spd_bilinear",
@@ -334,7 +320,7 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
     The data are kept as one ``(k, n, n)`` stack, so each new matrix point
     costs one stacked eigendecomposition for the sum of all k logarithms
     and, from its eigenvalues alone, of their squared distances
-    (:meth:`~geominimax.manifolds.Spd.log_sum`), cached on the point.
+    (:meth:`~geominimax.manifolds.Spd.log_sum`), cached by ``Spd``.
 
     The sphere slice ``min_x f(x, m) = -lambda_max(m) - pen(m)`` is solved
     exactly by a leading eigenvector of ``m``. ``best_response_x`` returns
@@ -374,16 +360,10 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
     mx = Sphere(n)
     my = Spd(n, 2.0 * spread + 1.0)
     stack = np.stack([p.value for p in pts])
-
-    def _penalty(m_pt: Point) -> tuple[np.ndarray, float]:
-        """``(sum_i Log_m(m_i), sum_i ||Log_m(m_i)||^2)``, cached on ``m``."""
-        got = m_pt.cache.get("rpca_penalty")
-        if got is None:
-            got = m_pt.cache["rpca_penalty"] = my.log_sum(m_pt, stack)
-        return got
+    stack.setflags(write=False)  # read-only, so Spd.log_sum caches its sums by the stack
 
     def value(x: Point, m_pt: Point) -> float:
-        _, sumsq = _penalty(m_pt)
+        _, sumsq = my.log_sum(m_pt, stack)
         quad = float(x.value @ (m_pt.value @ x.value))
         return -quad - (alpha / k) * sumsq
 
@@ -393,7 +373,7 @@ def robust_pca(data, alpha: float) -> MinimaxProblem:
         return Tangent._wrap(x, -2.0 * (mv - quad * x.value))
 
     def grad_y(x: Point, m_pt: Point) -> Tangent:
-        log_sum, _ = _penalty(m_pt)
+        log_sum, _ = my.log_sum(m_pt, stack)
         mx_vec = m_pt.value @ x.value
         # Both terms are exactly symmetric, so their sum needs no symmetrizing.
         return Tangent._wrap(m_pt, (2.0 * alpha / k) * log_sum - np.outer(mx_vec, mx_vec))

@@ -511,9 +511,9 @@ def run(
 ) -> RunResult:
     """Run a saddle solver for ``iters`` steps with diagnostics.
 
-    Records a row for the initial point, every ``record_every`` steps and
-    the final iterate. A row's gradient evaluation is shared with the
-    following step, and its distance is to the problem's known saddle.
+    Records a row at the start, every ``record_every`` and ``gap_every``
+    steps, and the final iterate. A row's gradient evaluation is shared
+    with the following step, and its distance is to the known saddle.
     Every ``gap_every`` steps (never when ``None``) the row carries
     :func:`estimate_duality_gap`, whose inner solvers get up to
     ``max(10000, 10 * iters)`` steps, all spent on an unbounded slice; on
@@ -598,7 +598,7 @@ def run(
     for t in range(iters + 1):
         try:
             grads = _pair_grads(problem, state.x, state.y)
-            if t % record_every == 0 or t == iters:
+            if t % record_every == 0 or t == iters or (gap_every and t % gap_every == 0):
                 records.append(make_record(state, grads))
             if t == iters:
                 break

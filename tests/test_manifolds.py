@@ -397,6 +397,57 @@ class TestSpdLogStack:
             assert str(stacked.value) == message
 
 
+class TestSpdLogCache:
+    """What ``Spd`` keeps on a base point per target: one decomposition that
+    log, distance and transport share, the logarithm's array, and the sums
+    of a read-only stack."""
+
+    def points(self, n=4, seed=95):
+        m = Spd(n)
+        rng = np.random.default_rng(seed)
+        return m, rng, m.point(random_spd(n, 0.2, 4.5, rng)), m.point(random_spd(n, 0.2, 4.5, rng))
+
+    def test_log_distance_and_transport_share_one_eigh(self, monkeypatch):
+        m, rng, x, y = self.points()
+        v = m.random_tangent(x, rng)
+        calls = TestSpd.count_eigh(monkeypatch)
+        log, distance, moved = m.log(x, y), m.distance(x, y), m.transport(v, y)
+        assert calls == [(4, 4)]
+        assert np.array_equal(log.value, m.log(m.point(x.value), y).value)
+        assert distance == m.distance(m.point(x.value), y)
+        assert np.array_equal(moved.value, m.transport(Tangent(m.point(x.value), v.value), y).value)
+
+    def test_cached_log_and_stack_sum_are_read_only(self):
+        m, _, x, y = self.points()
+        assert not m._log_array(x, y).flags.writeable
+        assert m.log(x, y).value is m._log_array(x, y)
+        frozen = np.stack([y.value, x.value])
+        frozen.setflags(write=False)
+        assert not m.log_sum(x, frozen)[0].flags.writeable
+        assert not m.log_sum(x, np.stack([y.value, x.value]))[0].flags.writeable
+
+    def test_a_frozen_stack_is_summed_once(self, monkeypatch):
+        m, _, x, y = self.points()
+        frozen = np.stack([y.value, x.value])
+        frozen.setflags(write=False)
+        first = m.log_sum(x, frozen)
+        calls = TestSpd.count_eigh(monkeypatch)
+        again = m.log_sum(x, frozen)
+        assert calls == []
+        assert again[0] is first[0] and again[1] == first[1]
+
+    def test_a_writable_stack_changed_in_place_gives_the_new_sum(self):
+        m, rng, x, y = self.points()
+        z = m.point(random_spd(4, 0.2, 4.5, rng))
+        stack = np.stack([y.value, x.value])
+        m.log_sum(x, stack)
+        stack[1] = z.value
+        total, sumsq = m.log_sum(x, stack)
+        want = m.log_sum(x, np.stack([y.value, z.value]))
+        assert np.array_equal(total, want[0]) and sumsq == want[1]
+        assert sumsq == pytest.approx(m.distance(x, y) ** 2 + m.distance(x, z) ** 2, rel=1e-12)
+
+
 class TestReverseVelocity:
     """``_reverse_velocity(exp(x, v))`` is ``Log_w(x)`` for ``w = exp(x, v)``,
     taken from the geodesic ``exp`` walked instead of a logarithm. Steps

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geominimax.errors import NumericalError, ParameterError
+from geominimax.errors import ContractError, NumericalError, ParameterError
 from geominimax.harness import ExperimentConfig, build_problem, parse_config
 from geominimax.linalg import random_spd, spectral, sym_eig, symmetrize
 from geominimax.manifolds import Euclidean, Spd, Sphere
@@ -577,6 +577,65 @@ class TestRobustPca:
             robust_pca([], alpha=1.0)
         with pytest.raises(ParameterError):
             robust_pca([a, np.eye(4)], alpha=1.0)
+
+
+class TestProblemsSharingPoints:
+    """Two problems whose manifolds compare equal accept each other's points.
+    What ``Spd`` caches on a point is keyed by each problem's own targets,
+    so evaluating one problem at a point never changes what the other
+    returns there, to the bit."""
+
+    @staticmethod
+    def oracles(prob, x, y):
+        return prob.value(x, y), prob.grad_x(x, y).value, prob.grad_y(x, y).value
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+    def bilinear_pair(self, diameters=(5.0, 5.0)):
+        rng = np.random.default_rng(90)
+        a, b, c, d = (random_spd(3, 0.5, 2.0, rng) for _ in range(4))
+        return spd_bilinear(a, b, diameter_bound=diameters[0]), spd_bilinear(c, d, diameter_bound=diameters[1])
+
+    def test_spd_bilinear_oracles_at_a_shared_pair(self):
+        first, second = self.bilinear_pair()
+        assert first.manifold_x == second.manifold_x and first.manifold_y == second.manifold_y
+        fresh = lambda: (second.manifold_x.identity(), second.manifold_y.identity())
+        shared = fresh()
+        self.oracles(first, *shared)
+        self.assert_same_bits(self.oracles(second, *shared), self.oracles(second, *fresh()))
+
+    def test_spd_bilinear_run_from_a_shared_start(self):
+        first, second = self.bilinear_pair()
+        start = (first.manifold_x.identity(), first.manifold_y.identity())
+        assert run(first, "rceg", iters=50, start=start, eta=0.1).status == "ok"
+        got = run(second, "rceg", iters=50, start=start, eta=0.1)
+        want = run(second, "rceg", iters=50, start=(second.manifold_x.identity(), second.manifold_y.identity()), eta=0.1)
+        assert got.status == want.status == "ok"
+        # Every column but wall_ms.
+        assert [r[:6] for r in got.records] == [r[:6] for r in want.records]
+        assert got.max_dist_from_start == want.max_dist_from_start
+
+    def test_robust_pca_oracles_at_a_shared_matrix_point(self):
+        rng = np.random.default_rng(91)
+        data = [random_spd(4, 0.2, 4.5, rng) for _ in range(3)]
+        first, second = robust_pca(data, 1.0), robust_pca(data + [data[0]], 1.0)
+        assert first.manifold_y == second.manifold_y
+        x = first.manifold_x.random_point(rng)
+        m = random_spd(4, 0.3, 4.0, rng)
+        shared = first.manifold_y.point(m)
+        self.oracles(first, x, shared)
+        self.assert_same_bits(self.oracles(second, x, shared), self.oracles(second, x, second.manifold_y.point(m)))
+
+    def test_spd_bilinear_refuses_a_point_of_another_diameter(self):
+        first, second = self.bilinear_pair(diameters=(5.0, 6.0))
+        x, y = first.manifold_x.identity(), first.manifold_y.identity()
+        self.oracles(first, x, y)
+        for oracle in (second.value, second.grad_x, second.grad_y):
+            with pytest.raises(ContractError):
+                oracle(x, y)
 
 
 class TestAugmentedLagrangian:

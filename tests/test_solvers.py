@@ -1012,6 +1012,17 @@ class TestRun:
         assert by_t[3].gap_estimate is None
         assert res.gap_unavailable == 0 and res.gap_diagnostic == ""
 
+    def test_gap_cadence_is_kept_between_sparse_rows(self):
+        """A row is recorded at every multiple of ``gap_every`` even when
+        ``record_every`` does not divide it, so each carries its estimate."""
+        cfg = parse_config(ROOT / "configs" / "robust_pca_a2.cfg")
+        p, x0, y0 = build_problem(cfg)
+        res = run(p, "rceg", 400, (x0, y0), cfg.eta, record_every=7, gap_every=50)
+        assert res.status == "ok" and res.gap_unavailable == 0
+        gaps = [r.t for r in res.records if r.gap_estimate is not None]
+        assert gaps == list(range(50, 401, 50))
+        assert [r.t for r in res.records] == sorted(set(range(0, 400, 7)) | set(gaps))
+
     def test_unavailable_gap_estimates_are_counted(self):
         """Away from the saddle the flat bilinear slices are unbounded: every
         cadence point misses its estimate, and the first reason is kept."""
