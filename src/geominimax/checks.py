@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 
+# Fixed bounds of the guarantee checks, so that no caller can loosen one.
+MANIFOLD_TOL = 1e-8  # each manifold invariant's error, relative where it scales
+TRIANGLE_SLACK = 1e-7  # violation of either curvature comparison inequality
+GRADIENT_TOL, GRADIENT_EPS = 1e-5, 1e-5  # relative gradient error; central-difference step
+
+
 @dataclass(frozen=True)
 class CheckLine:
     """One invariant result: name, trials, worst slack, verdict."""
@@ -71,11 +77,11 @@ class CheckLine:
         return f"{self.name:<44s} trials={self.trials:<6d} worst={self.worst:.3e}  {verdict}"
 
 
-def _check_manifold_suite(manifold: Manifold, label: str, trials: int, rng: np.random.Generator, tol: float) -> list[CheckLine]:
+def _check_manifold_suite(manifold: Manifold, label: str, trials: int, rng: np.random.Generator) -> list[CheckLine]:
     """Run the geometric invariants on one manifold."""
     # Both geodesic endpoints must lie in the declared domain ball, so the
     # tangent cap is half the diameter; this also keeps the conditioning of
-    # the evaluated quantities within what float64 can certify at tol.
+    # the evaluated quantities within what float64 can certify at MANIFOLD_TOL.
     vmax = min(0.9 * manifold.exp_guard, 0.5 * manifold.diameter_bound)
     worst = {
         "log_exp_roundtrip": 0.0,
@@ -125,7 +131,7 @@ def _check_manifold_suite(manifold: Manifold, label: str, trials: int, rng: np.r
         worst["self_distance"] = max(worst["self_distance"], manifold.distance(x, x))
 
     return [
-        CheckLine(f"{label}.{name}", trials, value, value <= tol)
+        CheckLine(f"{label}.{name}", trials, value, value <= MANIFOLD_TOL)
         for name, value in worst.items()
     ]
 
@@ -154,7 +160,7 @@ def _check_product_componentwise(trials: int, rng: np.random.Generator) -> Check
     return CheckLine("product.componentwise_exact", trials, worst, worst == 0.0)
 
 
-def check_manifolds(trials: int = 100, seed: int = 0, tol: float = 1e-8) -> list[CheckLine]:
+def check_manifolds(trials: int = 100, seed: int = 0) -> list[CheckLine]:
     """Geometric invariant suite over the concrete manifolds."""
     rng = np.random.default_rng(seed)
     lines: list[CheckLine] = []
@@ -164,7 +170,7 @@ def check_manifolds(trials: int = 100, seed: int = 0, tol: float = 1e-8) -> list
         (Spd(3), "spd3"),
         (Product(Sphere(3), Spd(2)), "product_sphere3_spd2"),
     ):
-        lines.extend(_check_manifold_suite(manifold, label, trials, rng, tol))
+        lines.extend(_check_manifold_suite(manifold, label, trials, rng))
     lines.append(_check_product_componentwise(max(1, trials // 10), rng))
     return lines
 
@@ -229,11 +235,11 @@ def _triangle_comparison_line(
     )
 
 
-def check_triangles(trials: int = 100, seed: int = 0, slack: float = 1e-7) -> list[CheckLine]:
+def check_triangles(trials: int = 100, seed: int = 0) -> list[CheckLine]:
     """Triangle comparison inequalities on flat, positive, and negative curvature."""
     rng = np.random.default_rng(seed)
     return [
-        _triangle_comparison_line(manifold, label, trials, rng, slack)
+        _triangle_comparison_line(manifold, label, trials, rng, TRIANGLE_SLACK)
         for manifold, label in (
             (Euclidean(5), "triangles.euclidean5"),
             (Sphere(4), "triangles.sphere4"),
@@ -244,7 +250,7 @@ def check_triangles(trials: int = 100, seed: int = 0, slack: float = 1e-7) -> li
 
 def _gradient_check_problems(seed: int) -> list[tuple[str, MinimaxProblem]]:
     rng = np.random.default_rng(seed)
-    problems = [
+    return [
         ("gradients.euclidean_quadratic", euclidean_quadratic(rng.standard_normal((6, 6)))),
         (
             "gradients.spd_bilinear",
@@ -256,10 +262,9 @@ def _gradient_check_problems(seed: int) -> list[tuple[str, MinimaxProblem]]:
         ),
         ("gradients.augmented_lagrangian", demo_constrained_projection(3, 0.1, rng)[0]),
     ]
-    return problems
 
 
-def check_gradients(trials: int = 50, seed: int = 0, tol: float = 1e-5, eps: float = 1e-5) -> list[CheckLine]:
+def check_gradients(trials: int = 50, seed: int = 0) -> list[CheckLine]:
     """Analytic gradients against the central-difference oracle.
 
     For each problem, ``trials`` random pairs are drawn and both partial
@@ -274,12 +279,12 @@ def check_gradients(trials: int = 50, seed: int = 0, tol: float = 1e-5, eps: flo
             x = mx.random_point(rng)
             y = my.random_point(rng)
             gx = problem.grad_x(x, y)
-            nx = numeric_riemannian_grad(mx, lambda p: problem.value(p, y), x, eps)
+            nx = numeric_riemannian_grad(mx, lambda p: problem.value(p, y), x, GRADIENT_EPS)
             worst = max(worst, mx.norm(gx - nx) / max(1.0, mx.norm(gx)))
             gy = problem.grad_y(x, y)
-            ny = numeric_riemannian_grad(my, lambda p: problem.value(x, p), y, eps)
+            ny = numeric_riemannian_grad(my, lambda p: problem.value(x, p), y, GRADIENT_EPS)
             worst = max(worst, my.norm(gy - ny) / max(1.0, my.norm(gy)))
-        lines.append(CheckLine(name, trials, worst, worst <= tol))
+        lines.append(CheckLine(name, trials, worst, worst <= GRADIENT_TOL))
     return lines
 
 

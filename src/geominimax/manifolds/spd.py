@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError, ParameterError, StepTooLongError
-from ..linalg import POSITIVITY_FLOOR, SpectralDecomposition, spectral, sym_eig, symmetrize
+from ..linalg import POSITIVITY_FLOOR, SpectralDecomposition, log_divided_differences, spectral, sym_eig, symmetrize
 from .base import POINT_TOL, Manifold, Point, Tangent
 
 __all__ = ["Spd"]
@@ -196,7 +196,7 @@ class Spd(Manifold):
         """``x``'s cache entry ``[a, dec, log]`` for the point ``y``, keyed by ``id(a)``, ``a = y.value``.
 
         ``dec`` is :meth:`_log_dec` of ``a``, which log, distance, transport
-        and a gradient toward a fixed target share; ``log`` is the read-only
+        and :meth:`_log_pairing_grad` share; ``log`` is the read-only
         array of ``Log_x(y)`` once :meth:`_log_array` has made it. An entry
         keeps the target's read-only array alive, so its ``id`` is not
         reused, and not the target point, so points measured each from the
@@ -211,10 +211,6 @@ class Spd(Manifold):
             got = cache[id(a)] = [a, self._log_dec(x, a), None]
         return got
 
-    def _log_dec_to(self, x: Point, y: Point) -> SpectralDecomposition:
-        """:meth:`_log_dec` of the point ``y``, from :meth:`_log_to`'s entry."""
-        return self._log_to(x, y)[1]
-
     def _log_array(self, x: Point, y: Point) -> np.ndarray:
         """The read-only array of ``Log_x(y)``, kept in :meth:`_log_to`'s entry."""
         got = self._log_to(x, y)
@@ -226,6 +222,31 @@ class Spd(Manifold):
 
     def log(self, x: Point, y: Point) -> Tangent:
         return Tangent._wrap(x, self._log_array(x, y))
+
+    def _log_pairing_grad(self, x: Point, y: Point, b: np.ndarray) -> Tangent:
+        """Riemannian gradient at ``x`` of ``tr(Log_x(y) b)`` for a fixed symmetric ``b``.
+
+        With ``F`` the factor of ``x = F F^T``, ``w = F^-1 y F^-T = Q diag(lam) Q^T``
+        from :meth:`_log_to`'s entry and ``K = log(w)`` (so ``Log_x(y) = F K F^T``), it is
+
+            G = P (M * (P^T b P)) P^T,    P = F Q,
+            M_ij = (log lam_i + log lam_j) / 2 - L_ij (lam_i + lam_j) / 2,
+
+        with ``*`` the entrywise product and ``L`` the divided differences of
+        ``log`` on ``lam`` (:func:`~geominimax.linalg.log_divided_differences`).
+        Derivation: moving ``x`` along ``F e^{t Xi} F^T`` with the factor
+        ``g(t) = F e^{t Xi / 2}``, affine invariance gives
+        ``D Log_x(y)[F Xi F^T] = F ((Xi K + K Xi) / 2 - Dlog(w)[(Xi w + w Xi) / 2]) F^T``,
+        which in ``w``'s eigenbasis is ``M`` times ``Q^T Xi Q`` entrywise;
+        pairing it with ``b`` and reading off the affine-invariant metric
+        gives ``G``. ``P`` takes the ``F`` that conjugated ``y`` into ``w``.
+        """
+        q, lam = self._log_to(x, y)[1]
+        log_lam = np.log(lam)
+        mean_log = (log_lam[:, None] + log_lam) / 2.0
+        weights = mean_log - log_divided_differences(lam) * ((lam[:, None] + lam) / 2.0)
+        pq = self._factor(x)[0] @ q
+        return Tangent._wrap(x, symmetrize(pq @ (weights * (pq.T @ b @ pq)) @ pq.T))
 
     def log_sum(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, float]:
         """``(sum_i Log_x(a_i), sum_i d(x, a_i)^2)`` for a ``(k, n, n)`` stack of SPD targets.
@@ -259,12 +280,12 @@ class Spd(Manifold):
     def transport(self, v: Tangent, y: Point) -> Tangent:
         x = v.base
         f, fi = self._factor(x)
-        e = f @ spectral(self._log_dec_to(x, y), np.sqrt) @ fi
+        e = f @ spectral(self._log_to(x, y)[1], np.sqrt) @ fi
         return Tangent._wrap(y, symmetrize(e @ v.value @ e.T))
 
     def distance(self, x: Point, y: Point) -> float:
         # np.linalg.norm of a 1-D float array is sqrt(l.dot(l)): same bits.
-        l = np.log(self._log_dec_to(x, y).eigenvalues)
+        l = np.log(self._log_to(x, y)[1].eigenvalues)
         return math.sqrt(l.dot(l))
 
     def _basis_array(self, x: Point) -> np.ndarray:

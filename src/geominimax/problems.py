@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .linalg import SpectralDecomposition, log_divided_differences, sym_eig, symmetrize
+from .linalg import sym_eig
 from .manifolds import Euclidean, Manifold, Point, Spd, Sphere, Tangent
 
 __all__ = [
@@ -222,41 +222,14 @@ def _spd_distance_to_identity(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.log(lam)))
 
 
-def _bilinear_grad(m: Spd, p: Point, wdec: SpectralDecomposition, b: np.ndarray) -> Tangent:
-    """Riemannian gradient at ``p`` of ``tr(Log_p(target) b)``, from ``eig(w)``; see :func:`spd_bilinear`."""
-    lam = wdec.eigenvalues
-    log_lam = np.log(lam)
-    mean_log = (log_lam[:, None] + log_lam) / 2.0
-    weights = mean_log - log_divided_differences(lam) * ((lam[:, None] + lam) / 2.0)
-    pq = m._factor(p)[0] @ wdec.q
-    return Tangent._wrap(p, symmetrize(pq @ (weights * (pq.T @ b @ pq)) @ pq.T))
-
-
 def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProblem:
     """Curved bilinear analogue ``f(x, y) = tr(Log_x(x0) Log_y(y0))`` on SPD x SPD.
 
-    ``(x0, y0)`` is the saddle point, with value 0 there. Gradients are in
-    closed form, from the eigendecomposition the value already needs,
-    cached by ``Spd`` per point and target.
-    Write ``Log_x(x0) = F K F^T`` with ``F`` the factor of ``x = F F^T``
-    that :class:`~geominimax.manifolds.Spd` holds (from the eigendecomposition
-    of ``x``, or the one its exponential made), ``w = F^-1 x0 F^-T = Q diag(lam) Q^T``,
-    ``K = log(w)`` and ``B = Log_y(y0)``. The Riemannian gradient of
-    ``tr(Log_x(x0) B)`` in ``x`` is
-
-        G = P (M * (P^T B P)) P^T,    P = F Q,
-        M_ij = (log lam_i + log lam_j) / 2 - L_ij (lam_i + lam_j) / 2,
-
-    with ``*`` the entrywise product and ``L`` the divided differences of
-    ``log`` on ``lam`` (:func:`~geominimax.linalg.log_divided_differences`).
-    Derivation: moving ``x`` along ``F e^{t Xi} F^T`` with the factor
-    ``g(t) = F e^{t Xi / 2}``, affine invariance gives
-    ``D Log_x(x0)[F Xi F^T] = F ((Xi K + K Xi) / 2 - Dlog(w)[(Xi w + w Xi) / 2]) F^T``,
-    which in ``w``'s eigenbasis is ``M`` times ``Q^T Xi Q`` entrywise;
-    pairing it with ``B`` and reading off the affine-invariant metric
-    gives ``G``. ``grad_y`` swaps the roles of the two blocks.
-    ``check gradients`` compares both against central differences
-    (:func:`numeric_riemannian_grad`).
+    ``(x0, y0)`` is the saddle point, with value 0 there. ``grad_x`` is the
+    closed form :meth:`~geominimax.manifolds.Spd._log_pairing_grad` of ``tr(Log_x(x0) B)``,
+    ``B = Log_y(y0)``, from the decomposition the value already needs, and
+    ``grad_y`` swaps the blocks. ``check gradients`` compares both against
+    central differences (:func:`numeric_riemannian_grad`).
 
     Parameters
     ----------
@@ -284,10 +257,10 @@ def spd_bilinear(x0, y0, diameter_bound: Optional[float] = None) -> MinimaxProbl
         return float(np.einsum("ij,ji->", mx._log_array(x, x0_pt), my._log_array(y, y0_pt)))
 
     def grad_x(x: Point, y: Point) -> Tangent:
-        return _bilinear_grad(mx, x, mx._log_dec_to(x, x0_pt), my._log_array(y, y0_pt))
+        return mx._log_pairing_grad(x, x0_pt, my._log_array(y, y0_pt))
 
     def grad_y(x: Point, y: Point) -> Tangent:
-        return _bilinear_grad(my, y, my._log_dec_to(y, y0_pt), mx._log_array(x, x0_pt))
+        return my._log_pairing_grad(y, y0_pt, mx._log_array(x, x0_pt))
 
     return MinimaxProblem(
         name="spd_bilinear",

@@ -96,11 +96,11 @@ class TestAcceptance:
     def test_criterion_1_manifold_invariants(self):
         """Every manifold invariant holds over 1000 random trials at 1e-8."""
         t0 = time.perf_counter()
-        lines = check_manifolds(trials=1000, seed=0, tol=1e-8)
+        lines = check_manifolds(trials=1000, seed=0)
         wall = time.perf_counter() - t0
         worst = max(line.worst for line in lines)
         bad = [line.format() for line in lines if not line.passed]
-        ok = not bad and wall < 30.0
+        ok = not bad and worst <= 1e-8 and wall < 30.0
         detail = report(
             "1 (manifold invariants)", ok, f"worst {worst:.2e}, {wall:.1f}s"
         )
@@ -109,11 +109,11 @@ class TestAcceptance:
     def test_criterion_2_triangle_comparisons(self):
         """Both curvature comparison inequalities hold on 1000 triangles each."""
         t0 = time.perf_counter()
-        lines = check_triangles(trials=1000, seed=0, slack=1e-7)
+        lines = check_triangles(trials=1000, seed=0)
         wall = time.perf_counter() - t0
         worst = max(line.worst for line in lines)
         bad = [line.format() for line in lines if not line.passed]
-        ok = not bad and wall < 60.0
+        ok = not bad and worst <= 1e-7 and wall < 60.0
         detail = report(
             "2 (triangle comparisons)", ok, f"worst slack {worst:.2e}, {wall:.1f}s"
         )
@@ -296,11 +296,11 @@ class TestAcceptance:
     def test_criterion_7_gradient_oracles(self):
         """Analytic gradients match central differences at 1e-5 relative."""
         t0 = time.perf_counter()
-        lines = check_gradients(trials=50, seed=0, tol=1e-5)
+        lines = check_gradients(trials=50, seed=0)
         wall = time.perf_counter() - t0
         worst = max(line.worst for line in lines)
         bad = [line.format() for line in lines if not line.passed]
-        ok = not bad
+        ok = not bad and worst <= 1e-5
         detail = report(
             "7 (gradient oracles)", ok, f"worst relative error {worst:.2e}, {wall:.1f}s"
         )

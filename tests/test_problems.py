@@ -183,8 +183,16 @@ class TestSpdBilinear:
     def test_gradient_matches_the_daleckii_krein_chain(self, n):
         rng = np.random.default_rng(80 + n)
         prob = spd_bilinear(random_spd(n, 0.5, 2.0, rng), random_spd(n, 0.5, 2.0, rng))
+        mx, my = prob.manifold_x, prob.manifold_y
         for _ in range(5):
-            self.assert_matches_chain(prob, prob.manifold_x.random_point(rng), prob.manifold_y.random_point(rng))
+            self.assert_matches_chain(prob, mx.random_point(rng), my.random_point(rng))
+        # A point exp makes holds the factor F_x Q e^{lam/2} it walked, not
+        # one from its own eigendecomposition.
+        for _ in range(5):
+            x, y = mx.random_point(rng), my.random_point(rng)
+            x, y = mx.exp(x, mx.random_tangent(x, rng, norm=1.0)), my.exp(y, my.random_tangent(y, rng, norm=1.0))
+            assert x.cache["factor"][0] is x.cache["geodesic"][0] and y.cache["factor"][0] is y.cache["geodesic"][0]
+            self.assert_matches_chain(prob, x, y)
 
     def test_gradient_matches_the_chain_where_every_pair_coincides(self):
         # At x = 2 x0 the conjugated matrix w is I / 2, so every divided
@@ -193,7 +201,7 @@ class TestSpdBilinear:
         prob = spd_bilinear(random_spd(6, 0.5, 2.0, rng), random_spd(6, 0.5, 2.0, rng))
         (xs, ys), mx, my = prob.known_saddle, prob.manifold_x, prob.manifold_y
         x, y = mx.point(2.0 * xs.value), my.point(2.0 * ys.value)
-        lam = mx._log_dec_to(x, xs).eigenvalues
+        lam = mx._log_to(x, xs)[1].eigenvalues
         assert np.ptp(lam) <= 1e-12 * lam[0] and lam[0] == pytest.approx(0.5)
         self.assert_matches_chain(prob, x, y)
 
